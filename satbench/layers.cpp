@@ -637,7 +637,11 @@ void layers_pass(const JsonValue& plan, Tracer& tr, JsonWriter& results) {
     }
 
     if (!meta.cnf && !meta.sim) continue;
-    const Instance inst = load_instance(spec, true);
+    Instance inst;
+    {
+      Span s(tr, "bench.load", meta.id);
+      inst = load_instance(spec, true);
+    }
     if (meta.cnf) {
       cache::ArtifactCache::global().clear();
       Span s(tr, "cnf.build", meta.id, true);
@@ -655,7 +659,11 @@ void layers_pass(const JsonValue& plan, Tracer& tr, JsonWriter& results) {
         const CompiledNetlist compiled(inst.nl);
         s.set("gates", static_cast<double>(compiled.comb_topo().size()));
       }
-      const BsimResult bsim = basic_sim_diagnose(inst.nl, inst.tests);
+      BsimResult bsim;
+      {
+        Span s(tr, "diag.xmask_bsim", meta.id, true);
+        bsim = basic_sim_diagnose(inst.nl, inst.tests);
+      }
       {
         Span s(tr, "diag.xmask", meta.id, true);
         exec::ThreadPool pool(1);
@@ -707,7 +715,10 @@ void layers_pass(const JsonValue& plan, Tracer& tr, JsonWriter& results) {
         parsed = serve::parse_request(frame.string, request, error);
       }
       if (!parsed) throw std::runtime_error("serve frame: " + error);
-      if (warm) serve::execute_request(request, Deadline::after_seconds(300));
+      if (warm) {
+        Span s(tr, "serve.execute_prime", request.id, true);
+        serve::execute_request(request, Deadline::after_seconds(300));
+      }
       Span s(tr, warm ? "serve.execute_warm" : "serve.execute_cold",
              request.id, true);
       const std::string response =

@@ -6,7 +6,7 @@ Run from the root of a source checkout:
     python3 satbench/run.py --workload diag_grid --seed 1 --seconds 30 --trace 0
 
 Workloads (inputs are pinned instance sets; --seed orders the work, draws the
-open-loop arrivals and request mix, and generates the cold netlists):
+open-loop arrivals and the warm request mix, and orders the cold fills):
 
   diag_grid  mid-size circuits (s1423/s5378 class at full scale), p = 2-3
              injected errors, m <= 16 failing tests, k = p. SAT search and
@@ -16,8 +16,8 @@ open-loop arrivals and request mix, and generates the cold netlists):
              bench/netlist/sim/fault do the work; the SAT engines run only
              one single-test instance.
   serve_mix  small circuits (s298/s1423 class) served by one daemon under
-             Poisson arrivals: warm cache reads plus a fixed share of freshly
-             generated netlists (cold fills), all four approaches, and
+             Poisson arrivals: warm cache reads, every fifth request a fresh
+             copy of a served netlist (a cold fill), all four approaches, and
              periodic metrics probes.
 
 Every workload reports every end-to-end metric, each measured on that
@@ -77,7 +77,7 @@ CONNECTIONS = 4
 # needs at least ten samples beyond it (serve_mix spends every 40th request
 # on a metrics probe).
 NOMINAL_REQUESTS = 1040
-SLICES = 4
+SLICES = 3
 # The generator fell behind (it measured the client, not the daemon) when a
 # tenth of its sends left more than this late. Single host stalls only
 # reach the p99, which is reported as serve.gen_late_ms.
@@ -114,9 +114,11 @@ WORKLOADS = {
         "serve": {"warm": [("s1423_p2_m8_i3", "cov"), ("s1423_p2_m16_i3", "cov"),
                            ("s5378_p2_m8_i3", "cov"), ("s5378_p2_m16_i3", "cov"),
                            ("s1423_p2_m8_i3", "bsim"), ("s5378_p2_m8_i3", "bsim")],
-                  "nominal_rps": 100.0, "ladder_start_rps": 320.0,
-                  "p99_limit_ms": 140.0},
+                  "nominal_rps": 100.0,
+                  "p99_limit_ms": 130.0},
         "cli_rounds": 1, "library_repeat": 5,
+        # Root spans must cover this share of the traced driver's wall.
+        "coverage_min": 0.9,
     },
     "sim_sweep": {
         "instances": [
@@ -132,12 +134,12 @@ WORKLOADS = {
                    "seed": 1, "rounds": 1}],
         "serve": {"warm": [("s38417_p1_m8_i3", "bsim"), ("s38417_p2_m16_i5", "bsim"),
                            ("s38417_p1_m16_i7", "bsim"), ("s38417_p2_m8_i9", "bsim")],
-                  "nominal_rps": 90.0, "ladder_start_rps": 350.0,
-                  "p99_limit_ms": 90.0},
+                  "nominal_rps": 90.0,
+                  "p99_limit_ms": 125.0},
         # The single SAT instance runs twice a round: one call is too few
         # samples for a steady median.
         "cli_rounds": 1, "repeat": {"s38417_p1_m1_i16": 2},
-        "library_repeat": 1,
+        "library_repeat": 1, "coverage_min": 0.9,
     },
     "serve_mix": {
         "instances": [
@@ -153,27 +155,31 @@ WORKLOADS = {
         "serve": {"warm": [(i, a) for i in ("s298_g1_p1_m8", "s298_g2_p1_m8",
                                             "s1423_g1_p1_m8", "s1423_g2_p1_m8")
                            for a in APPROACHES],
-                  # Fresh s298-class netlists: parse, scan and CNF templates
-                  # miss the daemon's cache.
-                  "cold": {"profile": "s298_like", "share": 0.1,
-                           "approach": "bsat", "check": 32},
+                  # Every fifth request is a cold fill (write_cold_pool);
+                  # the one-shot CLI rechecks 16 of them.
+                  "cold": {"every": 5, "check": 16},
                   "probe_every": 40,
-                  "nominal_rps": 80.0, "ladder_start_rps": 240.0,
-                  "p99_limit_ms": 240.0},
+                  "nominal_rps": 80.0,
+                  "p99_limit_ms": 190.0},
         "cli_rounds": 2, "library_repeat": 5,
     },
 }
 
 # Calibrated on a 4-core Xeon (AVX-512) at the seed code: nominal_rps is
-# about a third of the daemon's capacity, p99_limit_ms is 4 times the p99
-# measured at 20 req/s (unloaded), and ladder_start_rps sits near the knee
-# where the p99 crosses that limit.
-LADDER_STEP = 1.04
-# The host's speed moves capacity by 2x, so the ladder spans 0.3x to 3.4x of
-# the start rate.
-LADDER_SPAN = 31  # rungs on each side of the start
-LADDER_RUNG_S = 1.5
-LADDER_RUNGS = 6  # binary search over the 63 rungs
+# about a third of the daemon's capacity, and p99_limit_ms is 4 times the
+# median of three unloaded p99s (20 req/s, 1200 requests each) measured at
+# different times: diag_grid 14.7, 32.2, 38.8 ms; sim_sweep 9.9, 33.2,
+# 31.3 ms; serve_mix 47.4, 47.3, 85.7 ms. The shared host's latency moves
+# 2-3x between quiet and busy periods; a limit from one quiet period can
+# fail every rung, the nominal rate included, in a busy one.
+# Ladder rung i offers nominal_rps * LADDER_STEP**i, 0 <= i < LADDER_SIZE:
+# from the nominal rate to 5.7x of it in 6% steps. Near capacity the pass or
+# miss of a 1.5 s rung is close to a coin toss over a +-20% band of rates;
+# 3 s rungs narrow the band to about +-6%.
+LADDER_STEP = 1.06
+LADDER_SIZE = 31
+LADDER_RUNG_S = 3.0
+LADDER_RUNGS = 5  # binary search over the 31 rungs
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +280,9 @@ def layers(out_dir, name, plan):
         return json.load(f), rss
 
 
-def cold_specs(wl, seed, count):
-    cold = wl["serve"].get("cold")
-    if not cold:
-        return []
-    rng = random.Random(seed * 7919 + 17)
-    return [inst("cold%04d" % i, cold["profile"], 1, 3, 8,
-                 gen_seed=100000 + rng.randrange(10 ** 9))
-            for i in range(count)]
+def base_of(iid):
+    """The pinned instance a cold copy "coldNNNNN-<id>" was made from."""
+    return iid.split("-", 1)[1] if iid.startswith("cold") else iid
 
 
 def bench_path(inputs, iid):
@@ -289,7 +290,7 @@ def bench_path(inputs, iid):
 
 
 def tests_path(inputs, iid):
-    return os.path.join(inputs, iid + ".tests")
+    return os.path.join(inputs, base_of(iid) + ".tests")
 
 
 def cli_pairs(wl):
@@ -302,7 +303,7 @@ def cli_pairs(wl):
 
 def k_of(wl, iid):
     for spec in wl["instances"]:
-        if spec["id"] == iid:
+        if spec["id"] == base_of(iid):
             return spec["errors"]
     return 1
 
@@ -399,6 +400,8 @@ class Daemon:
     def __init__(self, out_dir):
         self.log_path = os.path.join(out_dir, "serve.log")
         self.log = open(self.log_path, "w")
+        self.rss_kb = 0
+        self.port = None
         self.proc = subprocess.Popen([CLI, "serve", "--port", "0"] + SERVE_FLAGS,
                                      stdout=subprocess.PIPE, stderr=self.log,
                                      text=True, cwd=ROOT)
@@ -407,7 +410,6 @@ class Daemon:
             self.stop()
             raise RuntimeError("serve did not start: %r" % line)
         self.port = int(line.rsplit(":", 1)[1])
-        self.rss_kb = 0
 
     def rpc(self, frames):
         """Closed-loop requests on one connection; returns parsed replies."""
@@ -420,26 +422,35 @@ class Daemon:
                 replies.append(json.loads(f.readline()))
             return replies
 
+    def hwm_kb(self):
+        """Peak RSS of the running daemon so far (VmHWM)."""
+        with open("/proc/%d/status" % self.proc.pid) as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+        return 0
+
     def stop(self):
-        if self.proc.poll() is None:
+        """Shut the daemon down and reap it with wait4, which gives its peak
+        RSS. Popen.poll() and wait() reap without the rusage, so they are not
+        called before it."""
+        if self.proc.returncode is None:
             try:
+                if self.port is None:
+                    raise OSError("serve never listened")
                 self.rpc([json.dumps({"id": "bye", "command": "shutdown"})])
             except OSError:
                 self.proc.terminate()
-            deadline = time.time() + 10
-            while self.proc.poll() is None and time.time() < deadline:
-                try:
-                    pid, status, usage = os.wait4(self.proc.pid, os.WNOHANG)
-                except ChildProcessError:
-                    break
-                if pid:
-                    self.proc.returncode = os.waitstatus_to_exitcode(status)
-                    self.rss_kb = usage.ru_maxrss
-                    break
+            deadline = time.monotonic() + 10
+            pid, status, usage = os.wait4(self.proc.pid, os.WNOHANG)
+            while not pid and time.monotonic() < deadline:
                 time.sleep(0.02)
-            if self.proc.poll() is None:
+                pid, status, usage = os.wait4(self.proc.pid, os.WNOHANG)
+            if not pid:
                 self.proc.kill()
-                self.proc.wait()
+                pid, status, usage = os.wait4(self.proc.pid, 0)
+            self.proc.returncode = os.waitstatus_to_exitcode(status)
+            self.rss_kb = usage.ru_maxrss
         self.proc.stdout.close()
         self.log.close()
 
@@ -455,11 +466,12 @@ class Mix:
     """Seeded request stream of one workload: warm pairs, cold fills and
     metrics probes."""
 
-    def __init__(self, wl, inputs, seed, cold_ids):
+    def __init__(self, wl, inputs, seed, cold_pool):
         self.wl = wl
         self.inputs = inputs
         self.rng = random.Random(seed * 104729 + 3)
-        self.cold = list(cold_ids)
+        self.cold = list(cold_pool)
+        self.exhausted = 0  # cold draws sent warm because the pool ran out
         self.n = 0
 
     def next(self):
@@ -470,11 +482,13 @@ class Mix:
         if probe and self.n % probe == 0:
             return ("probe", None), json.dumps({"id": rid, "command": "metrics"})
         cold = serve.get("cold")
-        if cold and self.cold and self.rng.random() < cold["share"]:
-            iid = self.cold.pop(0)
-            return (iid, cold["approach"]), diagnose_frame(
-                rid, self.inputs, iid, cold["approach"], 1)
-        iid, approach = self.rng.choice(serve["warm"])
+        if cold and self.n % cold["every"] == 1:
+            if self.cold:
+                return self.frame(rid, *self.cold.pop(0))
+            self.exhausted += 1
+        return self.frame(rid, *self.rng.choice(serve["warm"]))
+
+    def frame(self, rid, iid, approach):
         return (iid, approach), diagnose_frame(
             rid, self.inputs, iid, approach, k_of(self.wl, iid))
 
@@ -528,10 +542,13 @@ async def open_loop(port, mix, rate, count, seed):
 
 
 def check_replies(run, seg, expected, cold_answers):
-    """Latencies (ms) of diagnose replies; every reply is one operation."""
+    """Latencies (ms) of diagnose replies, their queue waits, the shed count
+    and the server-side execute seconds of cold fills and warm reads; every
+    reply is one operation."""
     lat = []
     waits = []
     overloaded = 0
+    execute = {"cold": 0.0, "warm": 0.0}
     for what, due, end, line in seg["done"]:
         try:
             reply = json.loads(line)
@@ -549,15 +566,16 @@ def check_replies(run, seg, expected, cold_answers):
             result = reply["report"]["result"]
             digest = fnv_digest(result["corrections"])
             key = what[0] + "/" + what[1]
-            if key in expected:
-                ok = digest == expected[key] and result["complete"]
-            else:
-                cold_answers.setdefault(key, set()).add(digest)
-                ok = result["complete"]
-            waits.append((end - due) * 1e3 - reply["report"]["wall_seconds"] * 1e3)
+            if what[0].startswith("cold"):
+                cold_answers[key] = digest
+            ok = (digest == expected.get(base_of(what[0]) + "/" + what[1])
+                  and result["complete"])
+            wall = reply["report"]["wall_seconds"]
+            waits.append((end - due) * 1e3 - wall * 1e3)
+            execute["cold" if what[0].startswith("cold") else "warm"] += wall
         run.op(ok, "served %s/%s: %s" % (what[0], what[1], status))
         lat.append((end - due) * 1e3)
-    return lat, waits, overloaded
+    return lat, waits, overloaded, execute
 
 
 def segment(run, daemon, mix, rate, count, seed, expected, cold_answers):
@@ -566,42 +584,51 @@ def segment(run, daemon, mix, rate, count, seed, expected, cold_answers):
         seg = asyncio.run(open_loop(daemon.port, mix, rate, count, seed))
     finally:
         gc.enable()
-    lat, waits, overloaded = check_replies(run, seg, expected, cold_answers)
+    lat, waits, overloaded, execute = check_replies(run, seg, expected,
+                                                    cold_answers)
     lates_ms = [x * 1e3 for x in seg["lates"]]
     third = max(1, len(seg["backlog"]) // 3)
     growing = (statistics.fmean(seg["backlog"][-third:])
                > 2 * statistics.fmean(seg["backlog"][:third]) + CONNECTIONS)
     return {"rate": rate, "count": count, "lat": lat, "waits": waits,
             "overloaded": overloaded,
+            "cold_requests": sum(w[0].startswith("cold") for w, *_ in seg["done"]),
+            "execute_cold_s": execute["cold"], "execute_warm_s": execute["warm"],
             "gen_late_p99_ms": nearest_rank(lates_ms, 0.99),
             "behind": nearest_rank(lates_ms, 0.9) > GEN_BEHIND_MS,
             "backlog_max": max(seg["backlog"]), "backlog_growing": growing}
 
 
 def merge_segments(segs):
-    out = {"lat": [], "waits": [], "overloaded": 0,
+    out = {"lat": [], "waits": [], "overloaded": 0, "count": 0,
+           "cold_requests": 0, "execute_cold_s": 0.0, "execute_warm_s": 0.0,
            "gen_late_p99_ms": 0.0, "behind": False, "backlog_max": 0}
     for seg in segs:
-        out["lat"] += seg["lat"]
-        out["waits"] += seg["waits"]
-        out["overloaded"] += seg["overloaded"]
+        for key in ("lat", "waits", "overloaded", "count", "cold_requests",
+                    "execute_cold_s", "execute_warm_s"):
+            out[key] += seg[key]
         out["gen_late_p99_ms"] = max(out["gen_late_p99_ms"], seg["gen_late_p99_ms"])
         out["behind"] = out["behind"] or seg["behind"]
         out["backlog_max"] = max(out["backlog_max"], seg["backlog_max"])
     return out
 
 
+def cold_exec_share(seg):
+    """Share of the daemon's execute time that went to cold fills."""
+    total = seg["execute_cold_s"] + seg["execute_warm_s"]
+    return seg["execute_cold_s"] / total if total else 0.0
+
+
 def ladder(run, wl, daemon, mix, seed, expected, cold_answers):
     """Highest rung meeting the p99 limit with no failure, no shed reply, no
-    growing backlog and a generator on schedule. Rung i offers
-    ladder_start_rps * LADDER_STEP**i for |i| <= LADDER_SPAN; a binary
-    search over the rungs runs LADDER_RUNGS of them. When no rung passes,
-    the nominal rate is the floor."""
+    growing backlog and a generator on schedule; a binary search over the
+    rungs runs LADDER_RUNGS of them. When no rung passes, not even the
+    nominal rate, the result is that lowest rung and the run fails."""
     serve = wl["serve"]
     rungs = []
 
     def rung(i):
-        rate = serve["ladder_start_rps"] * LADDER_STEP ** i
+        rate = serve["nominal_rps"] * LADDER_STEP ** i
         before = len(run.failures)
         seg = segment(run, daemon, mix, rate, int(rate * LADDER_RUNG_S),
                       seed * 1000 + len(rungs), expected, cold_answers)
@@ -613,42 +640,74 @@ def ladder(run, wl, daemon, mix, seed, expected, cold_answers):
         rungs.append({k: v for k, v in seg.items() if k not in ("lat", "waits")})
         return seg["pass"]
 
-    lo, hi = -LADDER_SPAN - 1, LADDER_SPAN + 1  # lo passes, hi fails
+    lo, hi = -1, LADDER_SIZE  # lo passes, hi fails
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if rung(mid):
             lo = mid
         else:
             hi = mid
-    if lo < -LADDER_SPAN:
-        return rungs, serve["nominal_rps"]
-    return rungs, serve["ladder_start_rps"] * LADDER_STEP ** lo
+    if lo < 0:
+        run.op(False, "no ladder rung met the p99 limit")
+        lo = 0
+    return rungs, serve["nominal_rps"] * LADDER_STEP ** lo
 
 
 # ---------------------------------------------------------------------------
 # Set-up: inputs, daemon start and warm-up
 # ---------------------------------------------------------------------------
 
-def cold_needed(wl):
+def cold_needed(wl, requests):
     cold = wl["serve"].get("cold")
-    if not cold:
-        return 0
-    top = wl["serve"]["ladder_start_rps"] * LADDER_STEP ** LADDER_SPAN
-    total = NOMINAL_REQUESTS + LADDER_RUNGS * top * LADDER_RUNG_S
-    return int(total * cold["share"] * 1.5) + 20
+    return int(requests / cold["every"]) + 50 if cold else 0
 
 
-def setup(run, wl, seed, out_dir, inputs, with_daemon=True):
-    """gen -> full-scan -> inject -> testgen of every input, then daemon
-    start and one warm-up request per served pair."""
+def write_cold_pool(wl, seed, inputs, count, first=0):
+    """Cold fills: copies of the served instances, each with one extra AND
+    gate that drives nothing, over a pair of signals that differs from copy
+    to copy. Content and structure are new to the daemon, so the parsed
+    netlist, the test set and the CNF templates all miss its cache. A gate
+    outside every output cone is never a correction, so a copy's answer is
+    its base instance's. Returns (copy id, approach) pairs; each block of
+    as many copies as there are warm pairs holds every pair once, in a
+    seeded order, so a run's cold work does not depend on the seed. Copy
+    numbers start at `first`."""
+    rng = random.Random(seed * 7919 + 17 + first)
+    texts, names, pool, block = {}, {}, [], []
+    for n in range(first, first + count):
+        if not block:
+            block = list(wl["serve"]["warm"])
+            rng.shuffle(block)
+        base, approach = block.pop()
+        if base not in texts:
+            with open(bench_path(inputs, base)) as f:
+                texts[base] = f.read().rstrip("\n") + "\n"
+            names[base] = [l.split("=")[0].strip() if "=" in l else l[6:-1]
+                           for l in texts[base].splitlines()
+                           if not l.startswith("#")
+                           and ("=" in l or l.startswith("INPUT("))]
+        sig = names[base]
+        i = n % len(sig)
+        a, b = sig[i], sig[(i + 1 + n // len(sig)) % len(sig)]
+        cid = "cold%05d-%s" % (n, base)
+        with open(bench_path(inputs, cid), "w") as f:
+            f.write(texts[base] + "satbench_cold = AND(%s, %s)\n" % (a, b))
+        pool.append((cid, approach))
+    return pool
+
+
+def setup(run, wl, seed, seconds, out_dir, inputs, with_daemon=True):
+    """gen -> full-scan -> inject -> testgen of every input and the cold
+    copies, then daemon start and one warm-up request per served pair."""
     t0 = time.perf_counter()
-    specs = wl["instances"] + cold_specs(wl, seed, cold_needed(wl))
     prepared, _ = layers(out_dir, "prepare", {"mode": "prepare", "dir": inputs,
-                                                 "instances": specs})
+                                                 "instances": wl["instances"]})
     for r in prepared["instances"]:
         run.op(r["ok"], "prepare %s" % r["id"])
-    cold_ids = [r["id"] for r in prepared["instances"]
-                if r["id"].startswith("cold") and r["ok"]]
+    # Cold copies for every nominal slice the run has time for.
+    per_slice = math.ceil(NOMINAL_REQUESTS / SLICES)
+    nominal = per_slice * (SLICES + 1) + seconds * wl["serve"]["nominal_rps"]
+    cold_pool = write_cold_pool(wl, seed, inputs, cold_needed(wl, nominal))
     daemon = None
     if with_daemon:
         daemon = Daemon(out_dir)
@@ -656,7 +715,7 @@ def setup(run, wl, seed, out_dir, inputs, with_daemon=True):
                   for n, (iid, a) in enumerate(wl["serve"]["warm"])]
         for reply in daemon.rpc(frames):
             run.op(reply.get("status") == "ok", "warm-up %s" % reply.get("id"))
-    return time.perf_counter() - t0, daemon, cold_ids
+    return time.perf_counter() - t0, daemon, cold_pool
 
 
 # ---------------------------------------------------------------------------
@@ -742,10 +801,11 @@ def check_cold(run, wl, inputs, out_dir, cold_answers):
     for key in sorted(cold_answers)[: cold["check"]]:
         iid, approach = key.split("/")
         args = [CLI, "diagnose", bench_path(inputs, iid), "--tests",
-                tests_path(inputs, iid), "--approach", approach, "--k", "1"]
+                tests_path(inputs, iid), "--approach", approach,
+                "--k", str(k_of(wl, iid)), "--threads", "1"]
         _, rc, text, _ = measured(args, os.path.join(out_dir, "cold-check.log"))
         sols, complete = parse_cli(approach, text)
-        ok = rc == 0 and complete and cold_answers[key] == {fnv_digest(sols)}
+        ok = rc == 0 and complete and cold_answers[key] == fnv_digest(sols)
         run.op(ok, "served cold %s differs from one-shot CLI" % key)
 
 
@@ -786,9 +846,9 @@ def machine():
 def untraced(run, wl, name, seed, seconds, out_dir, inputs):
     setups = []
     daemon = None
-    cold_ids = []
+    cold_pool = []
     for rep in range(SETUP_REPEATS):
-        wall, d, cold_ids = setup(run, wl, seed, out_dir, inputs)
+        wall, d, cold_pool = setup(run, wl, seed, seconds, out_dir, inputs)
         setups.append(wall)
         if rep < SETUP_REPEATS - 1:
             d.stop()
@@ -801,13 +861,13 @@ def untraced(run, wl, name, seed, seconds, out_dir, inputs):
     serve = wl["serve"]
     # Leave room for the ladder (its rungs plus their drains) and for the
     # last slice to overrun.
-    t_end = time.perf_counter() + seconds - LADDER_RUNGS * LADDER_RUNG_S - 3.0
+    t_end = time.perf_counter() + seconds - LADDER_RUNGS * LADDER_RUNG_S - 2.0
     rng = random.Random(seed)
     answers = {}
     lib_first = {}
     walls, lib, segs = {}, [], []
     cold_answers = {}
-    mix = Mix(wl, inputs, seed, cold_ids)
+    mix = Mix(wl, inputs, seed, cold_pool)
     try:
         n = 0
         while n < SLICES or time.perf_counter() < t_end:
@@ -820,10 +880,21 @@ def untraced(run, wl, name, seed, seconds, out_dir, inputs):
                                 math.ceil(NOMINAL_REQUESTS / SLICES),
                                 seed * 100 + n, expected, cold_answers))
             n += 1
-        rungs, max_rps = ladder(run, wl, daemon, mix, seed, expected, cold_answers)
+            if n == SLICES:
+                # The daemon's RSS grows with every cold fill it caches, so
+                # its peak is taken after a fixed amount of work: the
+                # nominal-rate load of the first SLICES slices.
+                run.report.setdefault("rss_kb", []).append(daemon.hwm_kb())
+        top = serve["nominal_rps"] * LADDER_STEP ** (LADDER_SIZE - 1)
+        mix.cold += write_cold_pool(
+            wl, seed, inputs,
+            cold_needed(wl, LADDER_RUNGS * top * LADDER_RUNG_S),
+            first=len(cold_pool))
+        rungs, max_rps = ladder(run, wl, daemon, mix, seed, expected,
+                                cold_answers)
     finally:
         daemon.stop()
-    run.report.setdefault("rss_kb", []).append(daemon.rss_kb)
+    run.report["daemon_final_rss_kb"] = daemon.rss_kb
     nominal = merge_segments(segs)
     check_cold(run, wl, inputs, out_dir, cold_answers)
     digests = {k: r["digest"] for k, r in answers.items()}
@@ -833,6 +904,8 @@ def untraced(run, wl, name, seed, seconds, out_dir, inputs):
     lat = nominal["lat"]
     if nominal["behind"]:
         run.failures.append("load generator fell behind its schedule")
+    if mix.exhausted:
+        run.failures.append("cold pool ran out (%d draws)" % mix.exhausted)
 
     metrics = {
         "setup_s": (median(setups), "s"),
@@ -858,7 +931,10 @@ def untraced(run, wl, name, seed, seconds, out_dir, inputs):
                   "slices": n,
                   "nominal_samples": len(lat),
                   "samples_beyond_p99": len(lat) - math.ceil(0.99 * len(lat)),
-                  "rungs": rungs, "p99_limit_ms": wl["serve"]["p99_limit_ms"]},
+                  "cold_request_share": nominal["cold_requests"] / nominal["count"],
+                  "cold_exec_share": cold_exec_share(nominal),
+                  "rungs": rungs,
+                  "p99_limit_ms": wl["serve"]["p99_limit_ms"]},
     })
     return metrics
 
@@ -881,15 +957,15 @@ def self_times(spans):
 
 
 def traced(run, wl, name, seed, seconds, out_dir, inputs):
-    _, daemon, cold_ids = setup(run, wl, seed, out_dir, inputs)
+    _, daemon, cold_pool = setup(run, wl, seed, seconds, out_dir, inputs)
     try:
         # Untraced reference pass: one round of every one-shot call and one
-        # round of the library calls, the denominator of span coverage.
+        # round of the library calls, whose answers the driver must repeat.
         answers = {}
         walls = {}
         cli_round(run, wl, inputs, out_dir, random.Random(seed), answers, walls)
-        lib = library_round(run, wl, inputs, out_dir,
-                            cov_checks_from(wl, inputs, answers), {})
+        library_round(run, wl, inputs, out_dir,
+                      cov_checks_from(wl, inputs, answers), {})
         expected = {k: r["digest"] for k, r in answers.items()}
 
         # One driver process per one-shot call, as the CLI starts one, plus
@@ -897,9 +973,9 @@ def traced(run, wl, name, seed, seconds, out_dir, inputs):
         warm = wl["serve"]["warm"][:8]
         warm_frames = [diagnose_frame("warm%d" % n, inputs, iid, a, k_of(wl, iid))
                        for n, (iid, a) in enumerate(warm)]
-        cold_frames = ([diagnose_frame("cold%d" % n, inputs, iid, "bsat", 1)
-                        for n, iid in enumerate(cold_ids[-8:])]
-                       if wl["serve"].get("cold") else warm_frames)
+        cold_frames = ([diagnose_frame("cold%d" % n, inputs, iid, a, k_of(wl, iid))
+                        for n, (iid, a) in enumerate(cold_pool[-8:])]
+                       if cold_pool else warm_frames)
         setup_dir = os.path.join(out_dir, "setup-layers")
         os.makedirs(setup_dir, exist_ok=True)
         sat_ids = {iid for iid, a in cli_pairs(wl) if a == "bsat"}
@@ -914,11 +990,11 @@ def traced(run, wl, name, seed, seconds, out_dir, inputs):
                            "sim": iid in wl["xlist"]}
                           for iid in sorted(sat_ids | set(wl["xlist"]))],
             "fault": wl["fault"],
-            "setup": wl["instances"][:4] + cold_specs(wl, seed + 1, 4),
+            "setup": wl["instances"][:4],
             "setup_dir": setup_dir,
             "serve_warm": warm_frames, "serve_cold": cold_frames})
         spans, answers_layers = [], {}
-        untraced_s = traced_s = 0.0
+        untraced_s = traced_s = roots_s = 0.0
         for n, plan in enumerate(plans):
             plan["mode"] = "layers"
             plan["trace"] = False
@@ -928,6 +1004,8 @@ def traced(run, wl, name, seed, seconds, out_dir, inputs):
             run.report.setdefault("rss_kb", []).append(rss)
             untraced_s += off["pass_s"]
             traced_s += on["pass_s"]
+            roots_s += sum((s["end_us"] - s["start_us"]) / 1e6
+                           for s in on["spans"] if s["parent"] < 0)
             base = len(spans)
             for span in on["spans"]:
                 if span["parent"] >= 0:
@@ -937,7 +1015,7 @@ def traced(run, wl, name, seed, seconds, out_dir, inputs):
             answers_layers.update(on["answers"])
 
         # Short live segment at the nominal rate for queueing and cache.
-        mix = Mix(wl, inputs, seed, cold_ids[:-8])
+        mix = Mix(wl, inputs, seed, cold_pool[:-8])
         probe = json.dumps({"id": "probe", "command": "metrics"})
         before = daemon.rpc([probe])[0]["report"]["metrics"]
         cold_answers = {}
@@ -974,11 +1052,12 @@ def traced(run, wl, name, seed, seconds, out_dir, inputs):
     sat_time = total("diag.bsat") + total("diag.hybrid")
     hits = after.get("cache.hits", 0) - before.get("cache.hits", 0)
     misses = after.get("cache.misses", 0) - before.get("cache.misses", 0)
-    roots = sum((s["end_us"] - s["start_us"]) / 1e6 for s in spans
-                if s["name"].startswith("cli."))
-    covered = roots + fault_s + total("diag.xlist")
-    reference = (summed_medians(walls) + summed_medians(lib["faultsim_s"])
-                 + summed_medians(lib["xlist_s"]))
+    # Span coverage within the traced driver processes: time inside root
+    # spans over each process's own wall of its call list.
+    coverage = roots_s / traced_s
+    if coverage < wl.get("coverage_min", 0.0):
+        run.failures.append("spans cover %.3f of the traced wall (< %.2f)"
+                            % (coverage, wl["coverage_min"]))
     self_by_layer = self_times(spans)
 
     metrics = {
@@ -1031,14 +1110,15 @@ def traced(run, wl, name, seed, seconds, out_dir, inputs):
         "serve.overloaded": (seg["overloaded"], "count"),
         "serve.gen_late_ms": (seg["gen_late_p99_ms"], "ms"),
         "serve.backlog": (seg["backlog_max"], "count"),
-        "trace.coverage": (covered / reference, "ratio"),
+        "serve.cold_exec_share": (cold_exec_share(seg), "ratio"),
+        "trace.coverage": (coverage, "ratio"),
         "trace.overhead_s": (traced_s - untraced_s, "s"),
     })
     for layer in ("cli", "bench", "report", "netlist", "sim", "diag", "cnf",
                   "fault", "gen", "setup", "serve"):
         metrics["self.%s_s" % layer] = (self_by_layer.get(layer, 0.0), "s")
     run.report.update({"spans": spans, "self_s": self_by_layer,
-                       "coverage": {"spans_s": covered, "untraced_s": reference},
+                       "coverage": {"root_spans_s": roots_s, "traced_s": traced_s},
                        "layers_wall": {"untraced_s": untraced_s,
                                        "traced_s": traced_s}})
     return metrics
@@ -1052,7 +1132,7 @@ def pin_answers(name, out_dir, inputs):
     """Record the answers of the current code as the pinned reference."""
     wl = WORKLOADS[name]
     run = Run()
-    setup(run, wl, 1, out_dir, inputs, with_daemon=False)
+    setup(run, wl, 1, 0, out_dir, inputs, with_daemon=False)
     answers = {}
     cli_round(run, wl, inputs, out_dir, random.Random(1), answers, {})
     lib = library_round(run, wl, inputs, out_dir, [], {})
@@ -1135,6 +1215,10 @@ def main():
     for key, (value, unit) in metrics.items():
         print("%-24s %14.6g %s" % (key, value, unit))
     print("fail_ratio               %14.6g (%d/%d)" % (failed / attempted, failed, attempted))
+    serve = run.report.get("serve", {})
+    if serve.get("cold_request_share"):
+        print("serve cold fills         %14.6g of requests, %.4g of execute time"
+              % (serve["cold_request_share"], serve["cold_exec_share"]))
     for what in run.failures[:10]:
         print("FAILED: %s" % what)
     print("report: %s" % os.path.relpath(report_path, ROOT))
