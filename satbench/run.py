@@ -3,10 +3,10 @@
 
 Run from the root of a source checkout:
 
-    python3 satbench/run.py --workload diag_grid --seed 1 --seconds 30 --trace 0
+    python3 satbench/run.py --workload diag_grid --seed 1 --seconds 36 --trace 0
 
 Workloads (inputs are pinned instance sets; --seed orders the work, draws the
-open-loop arrivals and the warm request mix, and orders the cold fills):
+open-loop arrivals, and orders the warm request blocks and the cold fills):
 
   diag_grid  mid-size circuits (s1423/s5378 class at full scale), p = 2-3
              injected errors, m <= 16 failing tests, k = p. SAT search and
@@ -73,10 +73,10 @@ SETUP_REPEATS = 3
 # queue deep enough that the client's connections never see a shed reply.
 SERVE_FLAGS = ["--threads", "1", "--max-inflight", "3", "--queue-depth", "64"]
 CONNECTIONS = 4
-# The nominal-rate load, spread over at least SLICES slices of a run: p99
-# needs at least ten samples beyond it (serve_mix spends every 40th request
-# on a metrics probe).
-NOMINAL_REQUESTS = 1040
+# The nominal-rate load, spread over at least SLICES slices of a run (a
+# workload may ask for more): p99 needs at least ten samples beyond it
+# (metrics probes are not counted).
+NOMINAL_REQUESTS = 1140
 SLICES = 3
 # The generator fell behind (it measured the client, not the daemon) when a
 # tenth of its sends left more than this late. Single host stalls only
@@ -95,6 +95,16 @@ def inst(iid, profile, errors, inject_seed, tests, gen_seed=1):
 # instances with 3-4 solutions spend their time in the UNSAT bound proofs;
 # s1423_p3_m8_i4 (642 solutions) and s1423_p3_m8_i6 (6854 covers) spend it
 # enumerating and blocking.
+#
+# Served requests are (instance, approach, weight) triples. The daemon sees
+# them in blocks that hold each pair `weight` times in a seeded order, so
+# every run sends the same mix. The weights put the median inside one class
+# of requests (not in the gap between two classes, where the share drawn
+# would decide it). The slowest class is a seventeenth to a thirteenth of
+# the requests and 6 to 9 times slower than the median one, so the p99 is a
+# quantile of that class's own service time rather than of single host
+# stalls. Served times (warm, 4-core Xeon, seed code) are noted beside each
+# class.
 WORKLOADS = {
     "diag_grid": {
         "instances": [
@@ -109,14 +119,23 @@ WORKLOADS = {
         "xlist": ["s1423_p2_m16_i3", "s5378_p2_m16_i3"],
         "fault": [{"id": "s5378_like", "profile": "s5378_like", "scale": 1.0,
                    "seed": 1, "rounds": 4}],
-        # Served: the grid's instances through the engines cheap enough for
-        # a thousand-sample p99 inside one run.
-        "serve": {"warm": [("s1423_p2_m8_i3", "cov"), ("s1423_p2_m16_i3", "cov"),
-                           ("s5378_p2_m8_i3", "cov"), ("s5378_p2_m16_i3", "cov"),
-                           ("s1423_p2_m8_i3", "bsim"), ("s5378_p2_m8_i3", "bsim")],
-                  "nominal_rps": 100.0,
-                  "p99_limit_ms": 130.0},
-        "cli_rounds": 1, "library_repeat": 5,
+        # Served: the grid's instances through requests cheap enough for a
+        # thousand-sample p99 inside one run. The median falls in the s5378
+        # COV class, the p99 in the s1423 BSAT/hybrid class (2/34).
+        "serve": {"warm": [("s1423_p2_m8_i3", "bsim", 6),     # 1.2 ms
+                           ("s5378_p2_m8_i3", "bsim", 6),     # 1.2 ms
+                           ("s5378_p2_m8_i3", "cov", 7),      # 6.9 ms
+                           ("s5378_p2_m16_i3", "cov", 9),     # 7.6 ms
+                           ("s1423_p2_m8_i3", "cov", 2),      # 16.5 ms
+                           ("s1423_p2_m16_i3", "cov", 2),     # 16.7 ms
+                           ("s1423_p2_m8_i3", "bsat", 1),     # 65 ms
+                           ("s1423_p2_m8_i3", "hybrid", 1)],  # 65 ms
+                  "nominal_rps": 90.0, "ladder_rps": 180.0,
+                  "p99_limit_ms": 272.0},
+        # A driver process's speed holds within it but differs by up to a
+        # third between processes, so the library calls run in two
+        # processes a slice.
+        "cli_rounds": 1, "library_rounds": 2, "library_repeat": 3,
         # Root spans must cover this share of the traced driver's wall.
         "coverage_min": 0.9,
     },
@@ -126,19 +145,26 @@ WORKLOADS = {
             inst("s38417_p2_m16_i5", "s38417_like", 2, 5, 16),
             inst("s38417_p1_m16_i7", "s38417_like", 1, 7, 16),
             inst("s38417_p2_m8_i9", "s38417_like", 2, 9, 8),
+            inst("s38417_p1_m96_i3", "s38417_like", 1, 3, 96),
             inst("s38417_p1_m1_i16", "s38417_like", 1, 16, 1),
         ],
         "cli": {"*": ("bsim",), "s38417_p1_m1_i16": APPROACHES},
         "xlist": ["s38417_p1_m8_i3", "s38417_p2_m16_i5"],
         "fault": [{"id": "s38417_like", "profile": "s38417_like", "scale": 1.0,
                    "seed": 1, "rounds": 1}],
-        "serve": {"warm": [("s38417_p1_m8_i3", "bsim"), ("s38417_p2_m16_i5", "bsim"),
-                           ("s38417_p1_m16_i7", "bsim"), ("s38417_p2_m8_i9", "bsim")],
-                  "nominal_rps": 90.0,
-                  "p99_limit_ms": 125.0},
-        # The single SAT instance runs twice a round: one call is too few
-        # samples for a steady median.
-        "cli_rounds": 1, "repeat": {"s38417_p1_m1_i16": 2},
+        # BSIM cost grows with the test count; the median falls in the m=8
+        # class, the p99 in the m=96 class (1/13).
+        "serve": {"warm": [("s38417_p1_m1_i16", "bsim", 3),  # 4 ms
+                           ("s38417_p1_m1_i16", "cov", 1),   # 4.5 ms
+                           ("s38417_p1_m8_i3", "bsim", 5),   # 6.9 ms
+                           ("s38417_p2_m16_i5", "bsim", 3),  # 9.9 ms
+                           ("s38417_p1_m96_i3", "bsim", 1)],  # 40 ms
+                  "nominal_rps": 110.0, "ladder_rps": 200.0,
+                  "p99_limit_ms": 151.0},
+        # The single SAT instance runs five times a round: its calls spread
+        # by a third from one process to the next, and no other instance
+        # shares its metrics.
+        "cli_rounds": 1, "repeat": {"s38417_p1_m1_i16": 5},
         "library_repeat": 1, "coverage_min": 0.9,
     },
     "serve_mix": {
@@ -152,34 +178,52 @@ WORKLOADS = {
         "xlist": ["s1423_g1_p1_m8", "s1423_g2_p1_m8"],
         "fault": [{"id": "s1423_like", "profile": "s1423_like", "scale": 1.0,
                    "seed": 1, "rounds": 16}],
-        "serve": {"warm": [(i, a) for i in ("s298_g1_p1_m8", "s298_g2_p1_m8",
-                                            "s1423_g1_p1_m8", "s1423_g2_p1_m8")
-                           for a in APPROACHES],
+        # All sixteen pairs. The median falls in the 4-5 ms class, the p99
+        # in the s1423 BSAT/hybrid class (4/72 of the requests).
+        "serve": {"warm": [(i, a, 4) for i, a in (           # 1-1.7 ms
+                               ("s298_g1_p1_m8", "bsim"), ("s298_g2_p1_m8", "bsim"),
+                               ("s1423_g1_p1_m8", "bsim"), ("s1423_g2_p1_m8", "bsim"),
+                               ("s298_g1_p1_m8", "cov"), ("s298_g2_p1_m8", "cov"),
+                               ("s1423_g2_p1_m8", "cov"))]
+                          + [(i, a, 8) for i, a in (           # 4-5 ms
+                               ("s298_g1_p1_m8", "bsat"), ("s298_g2_p1_m8", "bsat"),
+                               ("s298_g1_p1_m8", "hybrid"), ("s298_g2_p1_m8", "hybrid"),
+                               ("s1423_g1_p1_m8", "cov"))]
+                          + [(i, a, 1) for i, a in (           # 38-42 ms
+                               ("s1423_g1_p1_m8", "bsat"), ("s1423_g2_p1_m8", "bsat"),
+                               ("s1423_g1_p1_m8", "hybrid"), ("s1423_g2_p1_m8", "hybrid"))],
                   # Every fifth request is a cold fill (write_cold_pool);
                   # the one-shot CLI rechecks 16 of them.
                   "cold": {"every": 5, "check": 16},
                   "probe_every": 40,
-                  "nominal_rps": 80.0,
-                  "p99_limit_ms": 190.0},
-        "cli_rounds": 2, "library_repeat": 5,
+                  "nominal_rps": 90.0, "ladder_rps": 270.0,
+                  "p99_limit_ms": 166.0},
+        "cli_rounds": 2, "library_rounds": 2, "library_repeat": 3,
+        # Four slices a run: the load is the point of this workload, and a
+        # fixed count keeps the sample count the same from run to run.
+        "slices": 4,
     },
 }
 
-# Calibrated on a 4-core Xeon (AVX-512) at the seed code: nominal_rps is
-# about a third of the daemon's capacity, and p99_limit_ms is 4 times the
-# median of three unloaded p99s (20 req/s, 1200 requests each) measured at
-# different times: diag_grid 14.7, 32.2, 38.8 ms; sim_sweep 9.9, 33.2,
-# 31.3 ms; serve_mix 47.4, 47.3, 85.7 ms. The shared host's latency moves
-# 2-3x between quiet and busy periods; a limit from one quiet period can
-# fail every rung, the nominal rate included, in a busy one.
-# Ladder rung i offers nominal_rps * LADDER_STEP**i, 0 <= i < LADDER_SIZE:
-# from the nominal rate to 5.7x of it in 6% steps. Near capacity the pass or
-# miss of a 1.5 s rung is close to a coin toss over a +-20% band of rates;
-# 3 s rungs narrow the band to about +-6%.
-LADDER_STEP = 1.06
-LADDER_SIZE = 31
-LADDER_RUNG_S = 3.0
-LADDER_RUNGS = 5  # binary search over the 31 rungs
+# Calibrated on a 4-core Xeon (AVX-512) at the seed code: nominal_rps keeps
+# the daemon's three lanes an eighth to a third busy, and p99_limit_ms is 4
+# times the median of three unloaded p99s (20 req/s, 1200 requests each; 900
+# on serve_mix) measured at different times: diag_grid 68.0, 67.7, 68.1 ms;
+# sim_sweep 48.9, 37.8, 37.4 ms; serve_mix 41.5, 45.5, 40.4 ms. The shared
+# host's latency moves 2-3x between quiet and busy periods; a limit from one
+# quiet period can fail every rung in a busy one.
+# Ladder rung i offers ladder_rps * LADDER_STEP**i, 0 <= i < LADDER_SIZE: 16
+# rungs in 8% steps over 3.2x. ladder_rps lies 20-55% below the lowest
+# max_rps measured on the workload at the seed code (diag_grid 227,
+# sim_sweep 272, serve_mix 583 req/s) and the top rung 25-60% above the
+# highest (420, 400, 680), so the ladder spans the capacity with room on
+# both sides. Near capacity the pass or miss of a 1.5 s rung is close to a
+# coin toss over a +-20% band of rates, and of a 3 s rung over about +-6%;
+# longer rungs narrow it further.
+LADDER_STEP = 1.08
+LADDER_SIZE = 16
+LADDER_RUNG_S = 3.5
+LADDER_RUNGS = 4  # binary search over rungs 1-15; rung 0 only if none passes
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +343,16 @@ def cli_pairs(wl):
         for approach in wl["cli"].get(spec["id"], wl["cli"]["*"]):
             pairs.append((spec["id"], approach))
     return pairs
+
+
+def served_pairs(wl):
+    """The distinct (instance, approach) pairs a workload serves."""
+    return [(iid, a) for iid, a, _ in wl["serve"]["warm"]]
+
+
+def served_block(wl):
+    """One block of the served mix: each pair `weight` times."""
+    return [(iid, a) for iid, a, w in wl["serve"]["warm"] for _ in range(w)]
 
 
 def k_of(wl, iid):
@@ -463,14 +517,16 @@ def diagnose_frame(rid, inputs, iid, approach, k):
 
 
 class Mix:
-    """Seeded request stream of one workload: warm pairs, cold fills and
-    metrics probes."""
+    """Seeded request stream of one workload: warm pairs in weighted blocks
+    (served_block), cold fills and metrics probes."""
 
     def __init__(self, wl, inputs, seed, cold_pool):
         self.wl = wl
         self.inputs = inputs
         self.rng = random.Random(seed * 104729 + 3)
         self.cold = list(cold_pool)
+        self.written = len(cold_pool)  # cold copies numbered 0..written-1
+        self.block = []
         self.exhausted = 0  # cold draws sent warm because the pool ran out
         self.n = 0
 
@@ -486,7 +542,18 @@ class Mix:
             if self.cold:
                 return self.frame(rid, *self.cold.pop(0))
             self.exhausted += 1
-        return self.frame(rid, *self.rng.choice(serve["warm"]))
+        if not self.block:
+            self.block = served_block(self.wl)
+            self.rng.shuffle(self.block)
+        return self.frame(rid, *self.block.pop())
+
+    def top_up(self, seed, requests):
+        """Write cold copies until `requests` more cannot exhaust the pool."""
+        need = cold_needed(self.wl, requests) - len(self.cold)
+        if need > 0:
+            self.cold += write_cold_pool(self.wl, seed, self.inputs, need,
+                                         first=self.written)
+            self.written += need
 
     def frame(self, rid, iid, approach):
         return (iid, approach), diagnose_frame(
@@ -621,14 +688,16 @@ def cold_exec_share(seg):
 
 def ladder(run, wl, daemon, mix, seed, expected, cold_answers):
     """Highest rung meeting the p99 limit with no failure, no shed reply, no
-    growing backlog and a generator on schedule; a binary search over the
-    rungs runs LADDER_RUNGS of them. When no rung passes, not even the
-    nominal rate, the result is that lowest rung and the run fails."""
+    growing backlog and a generator on schedule. A binary search over rungs
+    1 to LADDER_SIZE - 1 runs LADDER_RUNGS of them; the lowest rung runs only
+    when none of those passes. When it fails too, the result is its rate and
+    the run fails."""
     serve = wl["serve"]
     rungs = []
 
     def rung(i):
-        rate = serve["nominal_rps"] * LADDER_STEP ** i
+        rate = serve["ladder_rps"] * LADDER_STEP ** i
+        mix.top_up(seed, int(rate * LADDER_RUNG_S))
         before = len(run.failures)
         seg = segment(run, daemon, mix, rate, int(rate * LADDER_RUNG_S),
                       seed * 1000 + len(rungs), expected, cold_answers)
@@ -640,17 +709,16 @@ def ladder(run, wl, daemon, mix, seed, expected, cold_answers):
         rungs.append({k: v for k, v in seg.items() if k not in ("lat", "waits")})
         return seg["pass"]
 
-    lo, hi = -1, LADDER_SIZE  # lo passes, hi fails
+    lo, hi = 0, LADDER_SIZE  # lo passes (rung 0 is checked last), hi fails
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if rung(mid):
             lo = mid
         else:
             hi = mid
-    if lo < 0:
+    if lo == 0 and not rung(0):
         run.op(False, "no ladder rung met the p99 limit")
-        lo = 0
-    return rungs, serve["nominal_rps"] * LADDER_STEP ** lo
+    return rungs, serve["ladder_rps"] * LADDER_STEP ** lo
 
 
 # ---------------------------------------------------------------------------
@@ -668,15 +736,14 @@ def write_cold_pool(wl, seed, inputs, count, first=0):
     to copy. Content and structure are new to the daemon, so the parsed
     netlist, the test set and the CNF templates all miss its cache. A gate
     outside every output cone is never a correction, so a copy's answer is
-    its base instance's. Returns (copy id, approach) pairs; each block of
-    as many copies as there are warm pairs holds every pair once, in a
-    seeded order, so a run's cold work does not depend on the seed. Copy
-    numbers start at `first`."""
+    its base instance's. Returns (copy id, approach) pairs in blocks of the
+    served mix (served_block), each in a seeded order, so a run's cold work
+    does not depend on the seed. Copy numbers start at `first`."""
     rng = random.Random(seed * 7919 + 17 + first)
     texts, names, pool, block = {}, {}, [], []
     for n in range(first, first + count):
         if not block:
-            block = list(wl["serve"]["warm"])
+            block = served_block(wl)
             rng.shuffle(block)
         base, approach = block.pop()
         if base not in texts:
@@ -712,7 +779,7 @@ def setup(run, wl, seed, seconds, out_dir, inputs, with_daemon=True):
     if with_daemon:
         daemon = Daemon(out_dir)
         frames = [diagnose_frame("w%d" % n, inputs, iid, a, k_of(wl, iid))
-                  for n, (iid, a) in enumerate(wl["serve"]["warm"])]
+                  for n, (iid, a) in enumerate(served_pairs(wl))]
         for reply in daemon.rpc(frames):
             run.op(reply.get("status") == "ok", "warm-up %s" % reply.get("id"))
     return time.perf_counter() - t0, daemon, cold_pool
@@ -844,6 +911,7 @@ def machine():
 # ---------------------------------------------------------------------------
 
 def untraced(run, wl, name, seed, seconds, out_dir, inputs):
+    t_run = time.perf_counter()
     setups = []
     daemon = None
     cold_pool = []
@@ -859,9 +927,11 @@ def untraced(run, wl, name, seed, seconds, out_dir, inputs):
     # whole run: each slice makes one round of the one-shot calls, one round
     # of the library calls and one stretch of the nominal-rate load.
     serve = wl["serve"]
-    # Leave room for the ladder (its rungs plus their drains) and for the
-    # last slice to overrun.
-    t_end = time.perf_counter() + seconds - LADDER_RUNGS * LADDER_RUNG_S - 2.0
+    # Slices beyond the workload's minimum run only when one more fits
+    # before the ladder (its rungs plus their drains) is due, so a run lasts
+    # about `seconds` whenever its minimum of work fits in them.
+    t_end = t_run + seconds - LADDER_RUNGS * LADDER_RUNG_S - 1.5
+    slice_s = []
     rng = random.Random(seed)
     answers = {}
     lib_first = {}
@@ -870,26 +940,26 @@ def untraced(run, wl, name, seed, seconds, out_dir, inputs):
     mix = Mix(wl, inputs, seed, cold_pool)
     try:
         n = 0
-        while n < SLICES or time.perf_counter() < t_end:
+        while (n < wl.get("slices", SLICES)
+               or time.perf_counter() + median(slice_s) < t_end):
+            t_slice = time.perf_counter()
             for _ in range(wl["cli_rounds"]):
                 cli_round(run, wl, inputs, out_dir, rng, answers, walls)
-            checks = cov_checks_from(wl, inputs, answers) if n == 0 else []
-            lib.append(library_round(run, wl, inputs, out_dir, checks, lib_first))
+            for i in range(wl.get("library_rounds", 1)):
+                checks = cov_checks_from(wl, inputs, answers) if n == i == 0 else []
+                lib.append(library_round(run, wl, inputs, out_dir, checks,
+                                         lib_first))
             expected = {k: r["digest"] for k, r in answers.items()}
             segs.append(segment(run, daemon, mix, serve["nominal_rps"],
                                 math.ceil(NOMINAL_REQUESTS / SLICES),
                                 seed * 100 + n, expected, cold_answers))
+            slice_s.append(time.perf_counter() - t_slice)
             n += 1
             if n == SLICES:
                 # The daemon's RSS grows with every cold fill it caches, so
                 # its peak is taken after a fixed amount of work: the
                 # nominal-rate load of the first SLICES slices.
                 run.report.setdefault("rss_kb", []).append(daemon.hwm_kb())
-        top = serve["nominal_rps"] * LADDER_STEP ** (LADDER_SIZE - 1)
-        mix.cold += write_cold_pool(
-            wl, seed, inputs,
-            cold_needed(wl, LADDER_RUNGS * top * LADDER_RUNG_S),
-            first=len(cold_pool))
         rungs, max_rps = ladder(run, wl, daemon, mix, seed, expected,
                                 cold_answers)
     finally:
@@ -970,7 +1040,7 @@ def traced(run, wl, name, seed, seconds, out_dir, inputs):
 
         # One driver process per one-shot call, as the CLI starts one, plus
         # one for the remaining layers; each runs with spans off, then on.
-        warm = wl["serve"]["warm"][:8]
+        warm = served_pairs(wl)
         warm_frames = [diagnose_frame("warm%d" % n, inputs, iid, a, k_of(wl, iid))
                        for n, (iid, a) in enumerate(warm)]
         cold_frames = ([diagnose_frame("cold%d" % n, inputs, iid, a, k_of(wl, iid))
@@ -1202,6 +1272,11 @@ def main():
     metrics = measure(run, wl, args.workload, args.seed, args.seconds,
                       out_dir, inputs)
     run.report["run_wall_s"] = time.perf_counter() - t0
+    # Cold copies are only needed while the run lasts; a run writes a
+    # thousand or more of them.
+    for entry in os.listdir(inputs):
+        if entry.startswith("cold"):
+            os.remove(os.path.join(inputs, entry))
     failed = len(run.failures)
     attempted = max(run.attempted, failed, 1)
     run.report["fail_ratio"] = failed / attempted
