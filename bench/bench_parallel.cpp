@@ -7,12 +7,10 @@
 //               bench_table2_runtime so the serial row is the baseline
 //   fault_sim   candidate-parallel exhaustive stuck-at fault simulation
 //   xlist       candidate-parallel X-list single-location diagnosis
-//   portfolio   seed-portfolio SAT racing on pinned random 3-SAT instances
-//               near the phase transition (status counts are deterministic)
 //
 // Every workload is bit-identical across thread counts in its reported
-// result fields (tables / detection counts / candidate counts / status
-// counts); only the wall clock changes. The drivers print one JSON line for
+// result fields (tables / detection counts / candidate counts); only the
+// wall clock changes. The drivers print one JSON line for
 // tools/bench_runner.py.
 //
 // Run:  ./bench_parallel --workload experiment --threads 8 [--json]
@@ -26,7 +24,6 @@
 #include "netlist/scan.hpp"
 #include "report/experiment.hpp"
 #include "report/format.hpp"
-#include "sat/portfolio.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -125,53 +122,6 @@ int run_xlist_workload(std::size_t threads, double scale, std::uint64_t seed,
   return 0;
 }
 
-int run_portfolio_workload(std::size_t threads, std::uint64_t seed,
-                           bool json) {
-  // Pinned random 3-SAT at clause ratio ~4.26 (the hard region): statuses
-  // are a deterministic function of the instance seed regardless of which
-  // configuration wins the race.
-  const int kVars = 140;
-  const int kClauses = 596;
-  const std::size_t kInstances = 12;
-  std::size_t sat_count = 0;
-  std::uint64_t conflicts = 0;
-  Timer timer;
-  for (std::size_t instance = 0; instance < kInstances; ++instance) {
-    Rng rng(seed * 0x9e3779b97f4a7c15ULL + instance);
-    std::vector<sat::Clause> clauses;
-    clauses.reserve(kClauses);
-    for (int c = 0; c < kClauses; ++c) {
-      sat::Clause clause;
-      for (int l = 0; l < 3; ++l) {
-        const auto v =
-            static_cast<sat::Var>(rng.next_below(kVars));
-        clause.push_back(sat::Lit(v, rng.next_bool()));
-      }
-      clauses.push_back(std::move(clause));
-    }
-    sat::PortfolioOptions options;
-    options.num_configs = 4;
-    options.num_threads = threads;
-    options.seed = seed + instance;
-    const sat::PortfolioResult result =
-        sat::solve_portfolio(kVars, clauses, {}, options);
-    if (result.status == sat::LBool::kTrue) ++sat_count;
-    conflicts += result.stats.conflicts;
-  }
-  const double seconds = timer.seconds();
-  if (json) {
-    std::printf(
-        "{\"bench\":\"portfolio\",\"instances\":%zu,\"sat\":%zu,"
-        "\"conflicts\":%llu,\"threads\":%zu,\"seconds\":%.6f}\n",
-        kInstances, sat_count, static_cast<unsigned long long>(conflicts),
-        threads, seconds);
-  } else {
-    std::printf("portfolio: %zu/%zu sat, %zu threads, %.3f s\n", sat_count,
-                kInstances, threads, seconds);
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -210,9 +160,6 @@ int main(int argc, char** argv) {
     return run_fault_sim_workload(lanes, scale, seed, rounds, json);
   }
   if (workload == "xlist") return run_xlist_workload(lanes, scale, seed, json);
-  if (workload == "portfolio") {
-    return run_portfolio_workload(lanes, seed, json);
-  }
   std::fprintf(stderr, "unknown workload '%s'\n", workload.c_str());
   return 2;
 }

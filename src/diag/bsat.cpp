@@ -122,6 +122,9 @@ BsatResult serial_sat_diagnose(const Netlist& nl, const TestSet& tests,
               result.solutions.end());
     bound_start = result.solutions.size();
     if (!result.complete) break;
+    // A correction asserts at most every select line: past that bound the
+    // search repeats with nothing left to find, however large k is.
+    if (bound >= inst.select_var.size()) break;
   }
   result.all_seconds = solve_timer.seconds();
   if (!first_recorded) result.first_seconds = result.all_seconds;
@@ -366,6 +369,7 @@ BsatResult parallel_sat_diagnose(const Netlist& nl, const TestSet& tests,
       result.complete = false;
       break;
     }
+    if (bound >= shards[0].inst->select_var.size()) break;  // as in serial
   }
   result.all_seconds = solve_timer.seconds();
   if (!first_recorded) result.first_seconds = result.all_seconds;

@@ -143,6 +143,9 @@ CovResult solve_covering_sat(const std::vector<std::vector<GateId>>& sets,
       }
     }
     if (!result.complete) break;
+    // A cover holds each candidate at most once: past that bound the search
+    // repeats with nothing left to find, however large k is.
+    if (bound >= universe.size()) break;
   }
   result.all_seconds = solve_timer.seconds();
   if (!first_recorded) result.first_seconds = result.all_seconds;

@@ -1444,9 +1444,6 @@ bool Solver::within_budget() const {
       stats_.conflicts >= static_cast<std::uint64_t>(conflict_budget_)) {
     return false;
   }
-  if (interrupt_ != nullptr && interrupt_->load(std::memory_order_relaxed)) {
-    return false;
-  }
   return !deadline_.expired();
 }
 
@@ -1585,9 +1582,8 @@ LBool Solver::solve(std::span<const Lit> assumptions) {
   while (status == LBool::kUndef) {
     if (!within_budget()) break;
     if (decision_level() == 0) {
-      // Restart boundary: exchange clauses (portfolio hook), then run the
-      // budgeted simplification pipeline when it is due.
-      if (share_hook_) share_hook_(*this);
+      // Restart boundary: run the budgeted simplification pipeline when it
+      // is due.
       if (!ok_ || (inprocess_due() && !inprocess())) {
         status = LBool::kFalse;
         break;

@@ -35,10 +35,10 @@
 //
 // Clause sharing: export_learnts()/import_clause() move low-LBD learnts
 // between solvers working on the *same* base formula (the BSAT partition
-// shards exchange at the per-bound barrier; solve_portfolio exchanges via
-// set_share_hook between restarts). Learnt clauses are implied by the clause
-// database alone — assumptions never taint them — so exchange is sound
-// whenever the receivers' clause databases are supersets of the exporter's.
+// shards exchange at the per-bound barrier). Learnt clauses are implied by
+// the clause database alone — assumptions never taint them — so exchange is
+// sound whenever the receivers' clause databases are supersets of the
+// exporter's.
 //
 // Extra hooks used by the diagnosis layer:
 //  * decision markers — BSAT restricts decisions to select/correction vars,
@@ -47,9 +47,7 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -277,21 +275,11 @@ class Solver {
   /// eliminated variable or is already satisfied at the root. Imported
   /// clauses are not re-exported.
   bool import_clause(const SharedClause& shared);
-  /// Invoked at every restart boundary (root level, before the next search
-  /// segment) — the portfolio's lock-light exchange point. The hook may call
-  /// export_learnts/import_clause on the passed solver.
-  void set_share_hook(std::function<void(Solver&)> hook) {
-    share_hook_ = std::move(hook);
-  }
 
   // ---- budgets ----------------------------------------------------------------
   void set_conflict_budget(std::int64_t conflicts) { conflict_budget_ = conflicts; }
   void clear_budgets() { conflict_budget_ = -1; deadline_ = Deadline(); }
   void set_deadline(Deadline d) { deadline_ = d; }
-  /// Cooperative cancellation for portfolio racing: while `flag` is set the
-  /// solver behaves as if its budget expired (solve() returns kUndef at the
-  /// next budget check). The flag outlives the solve call; nullptr detaches.
-  void set_interrupt(const std::atomic<bool>* flag) { interrupt_ = flag; }
 
   // ---- heuristic hooks ------------------------------------------------------
   void set_decision_var(Var v, bool decidable);
@@ -326,7 +314,7 @@ class Solver {
     std::uint64_t tier_local = 0;
 
     /// Aggregate another solver's counters (per-worker stats of the
-    /// parallel diagnosis paths and the portfolio merge into one report).
+    /// parallel diagnosis paths and experiment cells merge into one report).
     void merge(const Stats& other) {
       conflicts += other.conflicts;
       decisions += other.decisions;
@@ -613,12 +601,10 @@ class Solver {
   // learnt binaries awaiting export.
   std::size_t export_unit_watermark_ = 0;
   std::vector<std::pair<Lit, Lit>> bin_export_queue_;
-  std::function<void(Solver&)> share_hook_;
 
   double max_learnts_ = 0;
   std::int64_t conflict_budget_ = -1;
   Deadline deadline_;
-  const std::atomic<bool>* interrupt_ = nullptr;
   std::uint64_t wasted_ = 0;  // arena words lost to deleted clauses
 
   Stats stats_;

@@ -3,62 +3,28 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "app/commands.hpp"
 #include "bench/bench_parser.hpp"
-#include "bench/bench_writer.hpp"
 #include "cache/artifact_cache.hpp"
-#include "diag/bsat.hpp"
-#include "diag/bsim.hpp"
-#include "diag/cover.hpp"
-#include "diag/hybrid.hpp"
 #include "gen/profiles.hpp"
 #include "netlist/scan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "report/experiment.hpp"
 #include "report/testfile.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
-#include "util/strings.hpp"
 
 namespace satdiag::serve {
 namespace {
 
-/// A request failure with a machine-readable code; caught at the
-/// execute_request boundary and rendered as a structured error response.
-class HandlerError : public std::runtime_error {
- public:
-  HandlerError(const char* code, const std::string& message)
-      : std::runtime_error(message), code_(code) {}
-  const char* code() const { return code_; }
-
- private:
-  const char* code_;
-};
-
+/// Every request failure the handlers classify is the client's; caught at
+/// the execute_request boundary with the command layer's usage errors.
 [[noreturn]] void bad_request(const std::string& message) {
-  throw HandlerError(kErrBadRequest, message);
-}
-
-/// Flags each served command accepts — the serve analogue of the CLI's
-/// kKnownFlags (no --stats/--csv: formatting flags are meaningless over the
-/// wire, and the `metrics` command is the stats surface).
-const std::map<std::string, std::vector<std::string>>& serve_flags() {
-  static const std::map<std::string, std::vector<std::string>> kFlags = {
-      {"gen", {"profile", "scale", "seed", "out"}},
-      {"diagnose",
-       {"tests", "approach", "k", "limit", "max-solutions", "threads"}},
-      {"experiment",
-       {"circuits", "errors", "tests", "scale", "seed", "limit",
-        "max-solutions", "threads"}},
-      {"ping", {"sleep-ms"}},
-      {"metrics", {}},
-  };
-  return kFlags;
+  throw CliUsageError(message);
 }
 
 std::string read_file(const std::string& path) {
@@ -123,18 +89,6 @@ std::shared_ptr<const Netlist> gen_circuit_cached(const CircuitProfile& profile,
   });
 }
 
-void write_solutions(JsonWriter& w, const Netlist& nl,
-                     const std::vector<std::vector<GateId>>& solutions) {
-  w.key("corrections");
-  w.begin_array();
-  for (const auto& solution : solutions) {
-    w.begin_array();
-    for (GateId g : solution) w.value(nl.gate_name(g));
-    w.end_array();
-  }
-  w.end_array();
-}
-
 /// Execution budget: the command's own --limit, clamped to what is left of
 /// the request deadline after the admission-queue wait.
 Deadline execution_deadline(double limit_seconds, const Deadline& deadline) {
@@ -142,211 +96,42 @@ Deadline execution_deadline(double limit_seconds, const Deadline& deadline) {
       std::min(limit_seconds, deadline.remaining_seconds()));
 }
 
+/// Admission bounds how many requests run; this bounds the lanes one of
+/// them may start.
+void check_threads(std::size_t threads, std::size_t max_threads) {
+  if (threads > max_threads) {
+    bad_request("--threads " + std::to_string(threads) +
+                " exceeds the server's --threads " +
+                std::to_string(max_threads));
+  }
+}
+
 std::string handle_gen(const CliArgs& args) {
-  const std::string profile_name = args.get_string("profile", "s1423_like");
-  const auto profile = find_profile(profile_name);
-  if (!profile) bad_request("unknown profile '" + profile_name + "'");
-  const double scale = args.get_double("scale", 1.0);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const app::GenRequest request = app::parse_gen(args);
   const std::shared_ptr<const Netlist> nl =
-      gen_circuit_cached(*profile, scale, seed);
-
-  const std::string out_path = args.get_string("out", "");
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) bad_request("cannot write '" + out_path + "'");
-    write_bench(out, *nl);
-  }
-  std::ostringstream os;
-  JsonWriter w(os, /*indent=*/0);
-  w.begin_object();
-  w.kv("profile", profile_name);
-  w.kv("gates", static_cast<std::uint64_t>(nl->size()));
-  w.kv("inputs", static_cast<std::uint64_t>(nl->inputs().size()));
-  w.kv("outputs", static_cast<std::uint64_t>(nl->outputs().size()));
-  w.kv("dffs", static_cast<std::uint64_t>(nl->dffs().size()));
-  if (out_path.empty()) {
-    // No server-side file requested: the bench text IS the result.
-    w.kv("bench", write_bench_string(*nl));
-  } else {
-    w.kv("path", out_path);
-  }
-  w.end_object();
-  return os.str();
+      gen_circuit_cached(request.profile, request.scale, request.seed);
+  return app::gen_result_json(request, *nl);
 }
 
-std::string handle_diagnose(const CliArgs& args, const Deadline& deadline) {
-  if (args.positional().size() < 2) bad_request("diagnose needs a .bench file");
-  const std::shared_ptr<const Netlist> nl_ptr =
-      load_netlist_cached(args.positional()[1]);
-  const Netlist& nl = *nl_ptr;
-  const std::string tests_path = args.get_string("tests", "");
-  if (tests_path.empty()) bad_request("--tests required");
-  const std::shared_ptr<const TestSet> tests_ptr =
-      load_tests_cached(nl, tests_path);
-  const TestSet& tests = *tests_ptr;
-  if (tests.empty()) bad_request("empty test set");
-
-  const unsigned k = static_cast<unsigned>(args.get_int("k", 1));
-  const double limit = args.get_double("limit", 300.0);
-  const std::int64_t cap = args.get_int("max-solutions", -1);
-  const std::string approach = args.get_string("approach", "bsat");
-  const std::int64_t threads = args.get_int("threads", 1);
-  if (threads < 1) {
-    bad_request("--threads must be >= 1 (got " + std::to_string(threads) +
-                ")");
-  }
-  if (threads > 1 && approach != "bsat" && approach != "hybrid") {
-    bad_request("--threads requires a SAT-backed approach (bsat or hybrid)");
-  }
-
-  const auto render = [&](const char* approach_name,
-                          const std::vector<std::vector<GateId>>& solutions,
-                          bool complete, double build_s, double first_s,
-                          double all_s) {
-    std::ostringstream os;
-    JsonWriter w(os, /*indent=*/0);
-    w.begin_object();
-    w.kv("approach", approach_name);
-    w.kv("solutions", static_cast<std::uint64_t>(solutions.size()));
-    w.kv("complete", complete);
-    w.kv("build_seconds", build_s);
-    w.kv("first_seconds", first_s);
-    w.kv("all_seconds", all_s);
-    write_solutions(w, nl, solutions);
-    w.end_object();
-    return os.str();
-  };
-
-  if (approach == "bsim") {
-    const BsimResult result = basic_sim_diagnose(nl, tests);
-    std::vector<std::vector<GateId>> gmax;
-    for (GateId g : result.gmax) gmax.push_back({g});
-    return render("bsim", gmax, true, 0.0, 0.0, 0.0);
-  }
-  if (approach == "cov") {
-    CovOptions options;
-    options.k = k;
-    options.deadline = execution_deadline(limit, deadline);
-    options.max_solutions = cap;
-    const CovResult result = sc_diagnose(nl, tests, options);
-    return render("cov", result.solutions, result.complete,
-                  result.build_seconds, result.first_seconds,
-                  result.all_seconds);
-  }
-  if (approach == "bsat") {
-    BsatOptions options;
-    options.k = k;
-    options.deadline = execution_deadline(limit, deadline);
-    options.max_solutions = cap;
-    options.num_threads = static_cast<std::size_t>(threads);
-    const BsatResult result = basic_sat_diagnose(nl, tests, options);
-    obs::add_solver_stats(result.solver_stats);
-    return render("bsat", result.solutions, result.complete,
-                  result.build_seconds, result.first_seconds,
-                  result.all_seconds);
-  }
-  if (approach == "hybrid") {
-    HybridOptions options;
-    options.mode = HybridMode::kSeedActivity;
-    options.k = k;
-    options.deadline = execution_deadline(limit, deadline);
-    options.max_solutions = cap;
-    options.num_threads = static_cast<std::size_t>(threads);
-    const HybridResult result = hybrid_diagnose(nl, tests, options);
-    obs::add_solver_stats(result.solver_stats);
-    return render("hybrid", result.solutions, result.complete,
-                  result.sim_seconds, 0.0, result.sat_seconds);
-  }
-  bad_request("unknown approach '" + approach + "'");
+std::string handle_diagnose(const CliArgs& args, const Deadline& deadline,
+                            std::size_t max_threads) {
+  const app::DiagnoseRequest request = app::parse_diagnose(args);
+  check_threads(request.threads, max_threads);
+  const std::shared_ptr<const Netlist> nl = load_netlist_cached(request.bench);
+  const std::shared_ptr<const TestSet> tests =
+      load_tests_cached(*nl, request.tests);
+  const app::DiagnoseOutcome outcome = app::run_diagnose(
+      *nl, *tests, request, execution_deadline(request.limit, deadline));
+  return app::diagnose_result_json(*nl, request, outcome,
+                                   /*corrections=*/true);
 }
 
-std::string handle_experiment(const CliArgs& args, const Deadline& deadline) {
-  const std::int64_t threads = args.get_int("threads", 1);
-  if (threads < 1) {
-    bad_request("--threads must be >= 1 (got " + std::to_string(threads) +
-                ")");
-  }
-  std::vector<std::string> circuits;
-  const std::string circuits_arg = args.get_string("circuits", "s1423_like");
-  for (std::string_view name : split(circuits_arg, ',')) {
-    name = trim(name);
-    if (name.empty()) continue;
-    if (!find_profile(std::string(name))) {
-      bad_request("unknown profile '" + std::string(name) + "'");
-    }
-    circuits.emplace_back(name);
-  }
-  if (circuits.empty()) bad_request("--circuits requires at least one name");
-  std::vector<std::size_t> test_counts;
-  const std::string tests_arg = args.get_string("tests", "4,8");
-  for (std::string_view m : split(tests_arg, ',')) {
-    m = trim(m);
-    if (m.empty()) continue;
-    if (m.find_first_not_of("0123456789") != std::string_view::npos) {
-      bad_request("--tests entries must be positive integers (got '" +
-                  std::string(m) + "')");
-    }
-    const long value = std::stol(std::string(m));
-    if (value < 1) bad_request("--tests entries must be >= 1");
-    test_counts.push_back(static_cast<std::size_t>(value));
-  }
-  if (test_counts.empty()) bad_request("--tests requires at least one count");
-
-  const double limit = args.get_double("limit", 60.0);
-  const Deadline exec_deadline = execution_deadline(limit, deadline);
-  std::vector<ExperimentConfig> configs;
-  for (const std::string& circuit : circuits) {
-    for (std::size_t m : test_counts) {
-      ExperimentConfig config;
-      config.circuit = circuit;
-      config.scale = args.get_double("scale", 0.25);
-      config.num_errors = static_cast<std::size_t>(args.get_int("errors", 2));
-      config.num_tests = m;
-      config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-      config.time_limit_seconds = exec_deadline.remaining_seconds();
-      config.max_solutions = args.get_int("max-solutions", -1);
-      configs.push_back(std::move(config));
-    }
-  }
-
-  ExperimentGridOptions grid;
-  grid.num_threads = static_cast<std::size_t>(threads);
-  const std::vector<ExperimentCell> cells = run_experiment_grid(configs, grid);
-
-  // Same row shape as the CLI's experiment result section (satdiag_cli.cpp)
-  // so report consumers need one schema for both transports.
-  sat::Solver::Stats grid_stats;
-  std::ostringstream os;
-  JsonWriter w(os, /*indent=*/0);
-  w.begin_object();
-  w.kv("cells", static_cast<std::uint64_t>(cells.size()));
-  w.key("rows");
-  w.begin_array();
-  for (const ExperimentCell& cell : cells) {
-    w.begin_object();
-    w.kv("circuit", cell.config.circuit);
-    w.kv("tests", static_cast<std::uint64_t>(cell.config.num_tests));
-    w.kv("errors", static_cast<std::uint64_t>(cell.config.num_errors));
-    w.kv("prepared", cell.prepared);
-    if (cell.prepared) {
-      grid_stats.merge(cell.row.bsat.solver_stats);
-      w.kv("bsim_seconds", cell.row.bsim_seconds);
-      w.kv("bsat_solutions",
-           static_cast<std::uint64_t>(cell.row.bsat.solutions.size()));
-      w.kv("bsat_all_seconds", cell.row.bsat.all_seconds);
-      w.kv("bsat_complete", cell.row.bsat.complete);
-      w.kv("bsat_conflicts", cell.row.bsat.solver_stats.conflicts);
-      w.kv("bsat_decisions", cell.row.bsat.solver_stats.decisions);
-      w.kv("bsat_propagations", cell.row.bsat.solver_stats.propagations);
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  obs::add_solver_stats(grid_stats);
-  return os.str();
+std::string handle_experiment(const CliArgs& args, const Deadline& deadline,
+                              std::size_t max_threads) {
+  const app::ExperimentRequest request = app::parse_experiment(args);
+  check_threads(request.threads, max_threads);
+  return app::experiment_result_json(app::run_experiment(
+      request, execution_deadline(request.limit, deadline)));
 }
 
 std::string handle_ping(const CliArgs& args) {
@@ -382,43 +167,11 @@ std::string handle_metrics() {
   return os.str();
 }
 
-/// The "satdiag.report" v1 envelope around a command's result section —
-/// identical to the CLI's --report-json artifact, rendered compact and with
-/// the trailing newline stripped so it splices into a one-line frame.
-std::string wrap_report(const std::string& command, const CliArgs& args,
-                        double wall_seconds, std::string result_json) {
-  obs::RunReport report;
-  report.command = command;
-  for (const auto& [flag, value] : args.raw_values()) {
-    report.config[flag] = value;
-  }
-  const auto& pos = args.positional();
-  std::string joined;
-  for (std::size_t i = 1; i < pos.size(); ++i) {
-    if (!joined.empty()) joined += ' ';
-    joined += pos[i];
-  }
-  report.config["positional"] = joined;
-  report.wall_seconds = wall_seconds;
-  report.result_json = std::move(result_json);
-  std::ostringstream os;
-  report.write_json(os, /*indent=*/0);
-  std::string text = os.str();
-  while (!text.empty() && text.back() == '\n') text.pop_back();
-  return text;
-}
-
 }  // namespace
 
-bool known_command(const std::string& command) {
-  return serve_flags().count(command) != 0;
-}
-
-std::string execute_request(const Request& req, const Deadline& deadline) {
+std::string execute_request(const Request& req, const Deadline& deadline,
+                            std::size_t max_threads) {
   try {
-    if (!known_command(req.command)) {
-      bad_request("unknown command '" + req.command + "'");
-    }
     // Rebuild an argv so the request goes through the same CliArgs parsing
     // and strict value validation as the one-shot CLI.
     std::vector<std::string> tokens = {"satdiag", req.command};
@@ -434,13 +187,7 @@ std::string execute_request(const Request& req, const Deadline& deadline) {
     if (!args.parse(static_cast<int>(argv.size()), argv.data(), parse_error)) {
       bad_request(parse_error);
     }
-    const std::vector<std::string>& known = serve_flags().at(req.command);
-    for (const auto& [name, value] : req.args) {
-      (void)value;
-      if (std::find(known.begin(), known.end(), name) == known.end()) {
-        bad_request("unknown flag --" + name + " for '" + req.command + "'");
-      }
-    }
+    app::check_flags(app::Surface::kServe, req.command, args);
 
     Timer wall;
     std::string result;
@@ -451,24 +198,24 @@ std::string execute_request(const Request& req, const Deadline& deadline) {
     } else if (req.command == "gen") {
       result = handle_gen(args);
     } else if (req.command == "diagnose") {
-      result = handle_diagnose(args, deadline);
+      result = handle_diagnose(args, deadline, max_threads);
     } else if (req.command == "experiment") {
-      result = handle_experiment(args, deadline);
+      result = handle_experiment(args, deadline, max_threads);
     } else {
       result = handle_ping(args);
     }
-    return ok_response(req.id,
-                       wrap_report(req.command, args, wall.seconds(),
-                                   std::move(result)));
-  } catch (const CliUsageError& e) {
-    return error_response(req.id, kErrBadRequest, e.what());
-  } catch (const HandlerError& e) {
-    return error_response(req.id, e.code(), e.what());
+    // The "satdiag.report" v1 envelope of the CLI's --report-json artifact,
+    // compact and without the trailing newline so it splices into a frame.
+    std::ostringstream os;
+    app::make_report(req.command, args, wall.seconds(), std::move(result))
+        .write_json(os, /*indent=*/0);
+    std::string report = os.str();
+    while (!report.empty() && report.back() == '\n') report.pop_back();
+    return ok_response(req.id, report);
   } catch (const std::exception& e) {
-    // Parser/loader exceptions carry input-shaped messages; anything the
-    // handlers did not classify is the request's fault only if it came from
-    // parsing, so surface it as bad_request with the message and keep
-    // internal_error for the truly unexpected (bad_alloc has no message).
+    // Usage errors and parser/loader exceptions carry input-shaped messages,
+    // so they are the request's fault; internal_error is kept for the truly
+    // unexpected (bad_alloc has no message).
     const char* what = e.what();
     if (what != nullptr && *what != '\0') {
       return error_response(req.id, kErrBadRequest, what);

@@ -1,10 +1,11 @@
 // Request execution for the serve daemon.
 //
-// One admitted request = one library call on the exec/ runtime, with the
-// same option derivation as the one-shot CLI (tools/satdiag_cli.cpp): the
-// same defaults, the same strict value parsing, the same flag whitelists.
-// That is the serve bit-identity contract — a diagnose request returns the
-// same solution sets the CLI prints for the same inputs.
+// One admitted request = one library call on the exec/ runtime. gen,
+// diagnose and experiment go through the command layer the one-shot CLI
+// uses (app/commands.hpp): the same flag table, defaults, strict value
+// parsing and engine dispatch. That is the serve bit-identity contract — a
+// diagnose request returns the same solution sets the CLI prints for the
+// same inputs.
 //
 // Repeat requests on the same inputs hit cache::ArtifactCache: parsed
 // .bench netlists (full-scan view included) are cached under kNetlist keyed
@@ -13,6 +14,7 @@
 // by (profile, scale, seed) — warm requests pay only the solve.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "serve/protocol.hpp"
@@ -20,15 +22,15 @@
 
 namespace satdiag::serve {
 
-/// True for commands execute_request understands ("shutdown" is handled by
-/// the server itself; anything else is a bad_request).
-bool known_command(const std::string& command);
-
 /// Execute one admitted request and return its complete one-line response
 /// frame (no trailing newline). `deadline` is the request's remaining
 /// budget — it already covered the admission-queue wait, and execution
-/// limits (--limit) are clamped to what is left. Never throws: every
-/// failure becomes a structured error response.
-std::string execute_request(const Request& req, const Deadline& deadline);
+/// limits (--limit) are clamped to what is left. `max_threads` is the
+/// daemon's --threads: a request asking for more lanes is a bad_request,
+/// so one admitted request cannot start more threads than the operator
+/// allowed. Never throws: every failure becomes a structured error
+/// response.
+std::string execute_request(const Request& req, const Deadline& deadline,
+                            std::size_t max_threads = 1);
 
 }  // namespace satdiag::serve

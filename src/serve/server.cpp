@@ -250,7 +250,8 @@ std::string Server::process_frame(const std::string& frame,
     req.args.emplace("threads", std::to_string(options_.threads));
   }
   Timer request_timer;
-  std::string response = execute_request(req, deadline);
+  std::string response = execute_request(
+      req, deadline, std::max<std::size_t>(options_.threads, 1));
   metrics.request_us.observe(
       static_cast<std::uint64_t>(request_timer.seconds() * 1e6));
   admission_.release();

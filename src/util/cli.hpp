@@ -5,7 +5,7 @@
 // the FULL value string — `--k 2x` or `--limit abc` throw CliUsageError
 // naming the flag and the offending value instead of silently running with
 // garbage budgets (the value-level analogue of the subcommand flag
-// whitelist in tools/satdiag_cli.cpp).
+// table in app/commands.cpp).
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,8 @@
 #
 # The fixtures under tests/cli/golden/ (a small faulty circuit + its failing
 # test set) are static, checked-in files; the expected outputs of
-# `diagnose` (all four approaches) and `experiment --csv` are compared
+# `diagnose` (all four approaches, plus the usage error of an out-of-range
+# --k) and `experiment --csv` are compared
 # byte-for-byte after normalizing wall-clock fields, so any drift in the
 # output format — solution lines, table columns, counts — fails ctest
 # (`cli.golden`).
@@ -71,6 +72,16 @@ check diagnose_bsat
 "$CLI" diagnose "$CIRCUIT" --tests "$TESTS" --approach hybrid --k 2 \
     | normalize > "$TMP/diagnose_hybrid.out"
 check diagnose_hybrid
+
+# An out-of-range --k is a usage error naming the flag (exit 2), never a
+# crash or a false "0 valid corrections".
+for k in 0 -1; do
+  rc=0
+  "$CLI" diagnose "$CIRCUIT" --tests "$TESTS" --approach bsat --k "$k" \
+      > /dev/null 2> "$TMP/err" || rc=$?
+  echo "k=$k exit=$rc: $(cat "$TMP/err")"
+done > "$TMP/diagnose_bad_k.out"
+check diagnose_bad_k
 
 "$CLI" stats "$CIRCUIT" > "$TMP/stats.out"
 check stats

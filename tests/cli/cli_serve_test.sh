@@ -2,7 +2,8 @@
 # End-to-end smoke test for the `satdiag serve` daemon over real TCP:
 # start the server on an ephemeral port, then drive it with a python3
 # newline-delimited-JSON client covering ping, diagnose (twice, to check
-# the warm artifact-cache path), metrics, a malformed frame, and a clean
+# the warm artifact-cache path), metrics, a malformed frame, usage errors
+# (an out-of-range k, more threads than the daemon's), and a clean
 # `shutdown` request. The served diagnose corrections must be identical
 # to a one-shot `satdiag diagnose` run over the same fixtures.
 set -euo pipefail
@@ -120,6 +121,26 @@ resp = rpc_raw("this is not json")
 check(resp.get("status") == "error"
       and resp.get("error", {}).get("code") == "bad_request",
       "malformed frame not rejected as bad_request: %r" % resp)
+
+def usage_error(request, flag):
+    resp = rpc(request)
+    error = resp.get("error", {})
+    check(resp.get("status") == "error" and error.get("code") == "bad_request"
+          and flag in error.get("message", ""),
+          "%s not rejected as bad_request naming %s: %r"
+          % (request["id"], flag, resp))
+
+# An out-of-range k is the request's fault: a bad_request reply, and the
+# same daemon keeps answering.
+usage_error(dict(diagnose, id="k1", args=dict(diagnose["args"], k="-1")),
+            "--k")
+resp = rpc({"id": "p2", "command": "ping"})
+check(resp.get("status") == "ok", "ping after bad k failed: %r" % resp)
+
+# The daemon runs with --threads 1, so a request may not ask for 2 lanes
+# (rejected before any engine starts a thread).
+usage_error(dict(diagnose, id="t1", args=dict(diagnose["args"], threads="2")),
+            "--threads")
 
 resp = rpc({"id": "s", "command": "shutdown"})
 check(resp.get("status") == "ok", "shutdown failed: %r" % resp)

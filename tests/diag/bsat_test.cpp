@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
+#include "diag/cover.hpp"
 #include "diag/effect.hpp"
 #include "fault/injector.hpp"
 #include "fault/testgen.hpp"
@@ -221,6 +223,38 @@ TEST(BsatTest, MaxSolutionsTruncates) {
   const BsatResult result = basic_sat_diagnose(s.faulty, s.tests, options);
   EXPECT_FALSE(result.complete);
   EXPECT_EQ(result.solutions.size(), 1u);
+}
+
+// Bounds past the number of candidates find nothing new; the largest k a
+// request may carry must finish as fast as k = |gates| instead of stepping
+// through 2^31 empty bounds.
+TEST(LargestKTest, BsatStopsAtTheSelectLines) {
+  const Scenario s = make_scenario(4, 1, 6);
+  BsatOptions options;
+  options.k = static_cast<unsigned>(s.faulty.size());
+  const BsatResult reference = basic_sat_diagnose(s.faulty, s.tests, options);
+  ASSERT_TRUE(reference.complete);
+  options.k = std::numeric_limits<std::int32_t>::max();
+  options.deadline = Deadline::after_seconds(60.0);
+  for (std::size_t threads : {1, 2}) {
+    options.num_threads = threads;
+    const BsatResult result = basic_sat_diagnose(s.faulty, s.tests, options);
+    EXPECT_TRUE(result.complete) << threads << " threads";
+    EXPECT_EQ(result.solutions, reference.solutions) << threads << " threads";
+  }
+}
+
+TEST(LargestKTest, CovStopsAtTheCandidates) {
+  const Scenario s = make_scenario(4, 1, 6);
+  CovOptions options;
+  options.k = static_cast<unsigned>(s.faulty.size());
+  const CovResult reference = sc_diagnose(s.faulty, s.tests, options);
+  ASSERT_TRUE(reference.complete);
+  options.k = std::numeric_limits<std::int32_t>::max();
+  options.deadline = Deadline::after_seconds(60.0);
+  const CovResult result = sc_diagnose(s.faulty, s.tests, options);
+  EXPECT_TRUE(result.complete);
+  EXPECT_EQ(result.solutions, reference.solutions);
 }
 
 TEST(BsatTest, InstanceSizeReported) {

@@ -6,6 +6,13 @@
 #include "netlist/analysis.hpp"
 
 namespace satdiag {
+
+// Found by argument-dependent lookup, so it lives next to CircuitProfile's
+// namespace rather than in the anonymous one. Without it gtest dumps the raw
+// bytes, which hold the name's buffer pointer, so the ctest names change on
+// every build.
+void PrintTo(const CircuitProfile& p, std::ostream* os) { *os << p.name; }
+
 namespace {
 
 GeneratorParams small_params(std::uint64_t seed) {

@@ -57,6 +57,16 @@ struct TruthCase {
   bool expected;
 };
 
+// Prints e.g. "AND(1,0) = 0". Without it gtest dumps the raw bytes, which
+// hold the vector's heap pointer, so the ctest names change on every build.
+void PrintTo(const TruthCase& c, std::ostream* os) {
+  *os << gate_type_name(c.type) << '(';
+  for (std::size_t i = 0; i < c.inputs.size(); ++i) {
+    *os << (i ? "," : "") << (c.inputs[i] ? '1' : '0');
+  }
+  *os << ") = " << (c.expected ? '1' : '0');
+}
+
 class GateEvalTest : public ::testing::TestWithParam<TruthCase> {};
 
 TEST_P(GateEvalTest, TruthTable) {

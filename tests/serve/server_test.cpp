@@ -340,8 +340,11 @@ TEST(ServerTest, ConcurrentClientsGetIdenticalResults) {
     threads.emplace_back([&, i] {
       Client c(ts.port());
       for (int j = 0; j < 3; ++j) {
-        const JsonValue v =
-            c.rpc(diagnose_frame("c" + std::to_string(i * 10 + j)));
+        // Appended rather than "c" + to_string(...): GCC 12 reports a false
+        // -Wrestrict on the operator+ form at -O2 (GCC bug 105329).
+        std::string id = "c";
+        id += std::to_string(i * 10 + j);
+        const JsonValue v = c.rpc(diagnose_frame(id));
         if (field_string(v, "status") == "ok") {
           ++ok_count[i];
           results[i] = response_corrections(v);

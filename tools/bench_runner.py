@@ -123,12 +123,6 @@ BENCHES = {
         ["--circuit", "s38417_like", "--scale", "1.0", "--errors", "2",
          "--tests", "16", "--seed", "1", "--rounds", "1", "--json"],
     ),
-    # Seed-portfolio SAT racing (bench_parallel multi-workload driver).
-    "portfolio": (
-        "bench_parallel",
-        ["--workload", "portfolio", "--seed", "1", "--threads", "4",
-         "--json"],
-    ),
     # Report-driven CLI workloads: the run report's phase timings become
     # sub-rows, attributing any wall-clock drift to a pipeline stage.
     "cli_diagnose_report": (

@@ -45,17 +45,12 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "app/commands.hpp"
 #include "bench/bench_parser.hpp"
 #include "bench/bench_writer.hpp"
-#include "diag/bsat.hpp"
-#include "diag/cover.hpp"
-#include "diag/hybrid.hpp"
 #include "fault/injector.hpp"
 #include "fault/testgen.hpp"
 #include "gen/profiles.hpp"
@@ -65,11 +60,10 @@
 #include "obs/trace.hpp"
 #include "repair/realize.hpp"
 #include "report/experiment.hpp"
-#include "serve/server.hpp"
 #include "report/format.hpp"
 #include "report/testfile.hpp"
+#include "serve/server.hpp"
 #include "util/cli.hpp"
-#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -97,7 +91,17 @@ int usage() {
   return 2;
 }
 
-Netlist load_bench(const std::string& path) { return parse_bench_file(path); }
+/// The diagnosis view of a .bench file (full-scan when sequential) and the
+/// test set read against it.
+std::pair<Netlist, TestSet> load_inputs(const std::string& bench_path,
+                                        const std::string& tests_path) {
+  Netlist nl = parse_bench_file(bench_path);
+  if (!nl.dffs().empty()) nl = make_full_scan(nl).comb;
+  std::ifstream in(tests_path);
+  if (!in) throw CliUsageError("cannot read '" + tests_path + "'");
+  TestSet tests = read_test_set(in, nl);
+  return {std::move(nl), std::move(tests)};
+}
 
 /// The report's "result" section, set by whichever cmd_* ran; spliced
 /// verbatim into the run report / report-json output.
@@ -150,26 +154,20 @@ void print_solutions(const Netlist& nl,
 }
 
 int cmd_gen(const CliArgs& args) {
-  const std::string profile_name = args.get_string("profile", "s1423_like");
-  const auto profile = find_profile(profile_name);
-  if (!profile) return fail("unknown profile '" + profile_name + "'");
-  const Netlist nl = make_profile_circuit(
-      *profile, args.get_double("scale", 1.0),
-      static_cast<std::uint64_t>(args.get_int("seed", 1)));
-  const std::string out_path = args.get_string("out", "");
-  if (out_path.empty()) return fail("--out required");
-  std::ofstream out(out_path);
-  if (!out) return fail("cannot write '" + out_path + "'");
-  write_bench(out, nl);
+  const app::GenRequest request = app::parse_gen(args);
+  if (request.out.empty()) return fail("--out required");
+  const Netlist nl =
+      make_profile_circuit(request.profile, request.scale, request.seed);
+  g_result_json = app::gen_result_json(request, nl);
   std::printf("wrote %s: %zu gates, %zu PIs, %zu POs, %zu DFFs\n",
-              out_path.c_str(), nl.size(), nl.inputs().size(),
+              request.out.c_str(), nl.size(), nl.inputs().size(),
               nl.outputs().size(), nl.dffs().size());
   return 0;
 }
 
 int cmd_stats(const CliArgs& args) {
   if (args.positional().size() < 2) return fail("stats needs a .bench file");
-  const Netlist nl = load_bench(args.positional()[1]);
+  const Netlist nl = parse_bench_file(args.positional()[1]);
   std::printf("circuit: %s\n", nl.name().c_str());
   std::printf("  gates (combinational): %zu\n", nl.num_combinational_gates());
   std::printf("  primary inputs:        %zu\n", nl.inputs().size());
@@ -194,7 +192,7 @@ int cmd_stats(const CliArgs& args) {
 
 int cmd_inject(const CliArgs& args) {
   if (args.positional().size() < 2) return fail("inject needs a .bench file");
-  Netlist nl = load_bench(args.positional()[1]);
+  Netlist nl = parse_bench_file(args.positional()[1]);
   if (!nl.dffs().empty()) {
     std::printf("sequential circuit: using the full-scan view\n");
     nl = make_full_scan(nl).comb;
@@ -232,176 +230,43 @@ int cmd_inject(const CliArgs& args) {
 }
 
 int cmd_diagnose(const CliArgs& args) {
-  if (args.positional().size() < 2) return fail("diagnose needs a .bench file");
+  const app::DiagnoseRequest request = app::parse_diagnose(args);
   obs::Span load_span("phase.load");
-  Netlist nl = load_bench(args.positional()[1]);
-  if (!nl.dffs().empty()) nl = make_full_scan(nl).comb;
-  const std::string tests_path = args.get_string("tests", "");
-  if (tests_path.empty()) return fail("--tests required");
-  std::ifstream in(tests_path);
-  if (!in) return fail("cannot read '" + tests_path + "'");
-  const TestSet tests = read_test_set(in, nl);
-  if (tests.empty()) return fail("empty test set");
+  const auto [nl, tests] = load_inputs(request.bench, request.tests);
   load_span.close();
-
-  const unsigned k = static_cast<unsigned>(args.get_int("k", 1));
-  const double limit = args.get_double("limit", 300.0);
-  const std::int64_t cap = args.get_int("max-solutions", -1);
-  const std::string approach = args.get_string("approach", "bsat");
-  const bool want_stats = args.get_bool("stats", false);
-  if (want_stats && approach != "bsat" && approach != "hybrid") {
-    return fail("--stats requires a SAT-backed approach (bsat or hybrid)");
-  }
-  const std::int64_t threads = args.get_int("threads", 1);
-  if (threads < 1) {
-    return fail("--threads must be >= 1 (got " + std::to_string(threads) +
-                ")");
-  }
-  // A flag that cannot take effect must not be silently accepted: the user
-  // would believe the run was parallel.
-  if (threads > 1 && approach != "bsat" && approach != "hybrid") {
-    return fail("--threads requires a SAT-backed approach (bsat or hybrid)");
-  }
-
-  const auto set_result_json = [&](const char* approach_name,
-                                   std::size_t num_solutions, bool complete,
-                                   double build_s, double first_s,
-                                   double all_s) {
-    std::ostringstream os;
-    JsonWriter w(os, /*indent=*/0);
-    w.begin_object();
-    w.kv("approach", approach_name);
-    w.kv("solutions", static_cast<std::uint64_t>(num_solutions));
-    w.kv("complete", complete);
-    w.kv("build_seconds", build_s);
-    w.kv("first_seconds", first_s);
-    w.kv("all_seconds", all_s);
-    w.end_object();
-    g_result_json = os.str();
-  };
-
-  if (approach == "bsim") {
-    obs::Span sim_span("phase.sim");
-    const BsimResult result = basic_sim_diagnose(nl, tests);
+  const app::DiagnoseOutcome outcome = app::run_diagnose(
+      nl, tests, request, Deadline::after_seconds(request.limit));
+  const std::size_t n = outcome.solutions.size();
+  const char* truncated = outcome.complete ? "" : " (truncated)";
+  if (request.approach == "bsim") {
     std::printf("marked %zu gates; Gmax (%u marks):\n",
-                result.marked_union.size(), result.max_marks);
-    for (GateId g : result.gmax) {
+                outcome.bsim.marked_union.size(), outcome.bsim.max_marks);
+    for (GateId g : outcome.bsim.gmax) {
       std::printf("  %s (M=%u)\n", nl.gate_name(g).c_str(),
-                  result.mark_count[g]);
+                  outcome.bsim.mark_count[g]);
     }
-    set_result_json("bsim", result.gmax.size(), true, 0.0, 0.0, 0.0);
-    return 0;
+  } else {
+    if (request.approach == "cov") {
+      std::printf("%zu irredundant covers%s:\n", n, truncated);
+    } else if (request.approach == "bsat") {
+      std::printf("%zu valid corrections%s (CNF %.2fs, all %.2fs):\n", n,
+                  truncated, outcome.build_seconds, outcome.all_seconds);
+    } else {
+      std::printf("%zu valid corrections (sim %.2fs + sat %.2fs):\n", n,
+                  outcome.build_seconds, outcome.all_seconds);
+    }
+    print_solutions(nl, outcome.solutions);
   }
-  if (approach == "cov") {
-    CovOptions options;
-    options.k = k;
-    options.deadline = Deadline::after_seconds(limit);
-    options.max_solutions = cap;
-    obs::Span sim_span("phase.sim");
-    const CovResult result = sc_diagnose(nl, tests, options);
-    std::printf("%zu irredundant covers%s:\n", result.solutions.size(),
-                result.complete ? "" : " (truncated)");
-    print_solutions(nl, result.solutions);
-    set_result_json("cov", result.solutions.size(), result.complete,
-                    result.build_seconds, result.first_seconds,
-                    result.all_seconds);
-    return 0;
-  }
-  if (approach == "bsat") {
-    BsatOptions options;
-    options.k = k;
-    options.deadline = Deadline::after_seconds(limit);
-    options.max_solutions = cap;
-    options.num_threads = static_cast<std::size_t>(threads);
-    const BsatResult result = basic_sat_diagnose(nl, tests, options);
-    obs::add_solver_stats(result.solver_stats);
-    std::printf("%zu valid corrections%s (CNF %.2fs, all %.2fs):\n",
-                result.solutions.size(), result.complete ? "" : " (truncated)",
-                result.build_seconds, result.all_seconds);
-    print_solutions(nl, result.solutions);
-    if (want_stats) print_registry_stats();
-    set_result_json("bsat", result.solutions.size(), result.complete,
-                    result.build_seconds, result.first_seconds,
-                    result.all_seconds);
-    return 0;
-  }
-  if (approach == "hybrid") {
-    HybridOptions options;
-    options.mode = HybridMode::kSeedActivity;
-    options.k = k;
-    options.deadline = Deadline::after_seconds(limit);
-    options.max_solutions = cap;
-    options.num_threads = static_cast<std::size_t>(threads);
-    const HybridResult result = hybrid_diagnose(nl, tests, options);
-    obs::add_solver_stats(result.solver_stats);
-    std::printf("%zu valid corrections (sim %.2fs + sat %.2fs):\n",
-                result.solutions.size(), result.sim_seconds,
-                result.sat_seconds);
-    print_solutions(nl, result.solutions);
-    if (want_stats) print_registry_stats();
-    set_result_json("hybrid", result.solutions.size(), result.complete,
-                    result.sim_seconds, 0.0, result.sat_seconds);
-    return 0;
-  }
-  return fail("unknown approach '" + approach + "'");
+  if (request.stats) print_registry_stats();
+  g_result_json =
+      app::diagnose_result_json(nl, request, outcome, /*corrections=*/false);
+  return 0;
 }
 
 int cmd_experiment(const CliArgs& args) {
-  const std::int64_t threads = args.get_int("threads", 1);
-  if (threads < 1) {
-    return fail("--threads must be >= 1 (got " + std::to_string(threads) +
-                ")");
-  }
-  std::vector<std::string> circuits;
-  // Bind before split(): the views point into this string, and a temporary
-  // would be destroyed before a C++20 range-for body runs.
-  const std::string circuits_arg = args.get_string("circuits", "s1423_like");
-  for (std::string_view name : split(circuits_arg, ',')) {
-    name = trim(name);
-    if (name.empty()) continue;
-    if (!find_profile(std::string(name))) {
-      return fail("unknown profile '" + std::string(name) + "'");
-    }
-    circuits.emplace_back(name);
-  }
-  if (circuits.empty()) return fail("--circuits requires at least one name");
-  std::vector<std::size_t> test_counts;
-  const std::string tests_arg = args.get_string("tests", "4,8");
-  for (std::string_view m : split(tests_arg, ',')) {
-    m = trim(m);
-    if (m.empty()) continue;
-    // Strict parse: "8abc" must not silently run with m=8.
-    if (m.find_first_not_of("0123456789") != std::string_view::npos) {
-      return fail("--tests entries must be positive integers (got '" +
-                  std::string(m) + "')");
-    }
-    const long value = std::stol(std::string(m));
-    if (value < 1) return fail("--tests entries must be >= 1");
-    test_counts.push_back(static_cast<std::size_t>(value));
-  }
-  if (test_counts.empty()) return fail("--tests requires at least one count");
-
-  std::vector<ExperimentConfig> configs;
-  for (const std::string& circuit : circuits) {
-    for (std::size_t m : test_counts) {
-      ExperimentConfig config;
-      config.circuit = circuit;
-      config.scale = args.get_double("scale", 0.25);
-      config.num_errors =
-          static_cast<std::size_t>(args.get_int("errors", 2));
-      config.num_tests = m;
-      config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-      config.time_limit_seconds = args.get_double("limit", 60.0);
-      config.max_solutions = args.get_int("max-solutions", -1);
-      configs.push_back(std::move(config));
-    }
-  }
-  const bool csv = args.get_bool("csv", false);
-
-  ExperimentGridOptions grid;
-  grid.num_threads = static_cast<std::size_t>(threads);
-  const std::vector<ExperimentCell> cells = run_experiment_grid(configs, grid);
-
+  const app::ExperimentRequest request = app::parse_experiment(args);
+  const std::vector<ExperimentCell> cells =
+      app::run_experiment(request, Deadline::after_seconds(request.limit));
   TablePrinter table(table2_header());
   for (const ExperimentCell& cell : cells) {
     if (!cell.prepared) {
@@ -411,57 +276,21 @@ int cmd_experiment(const CliArgs& args) {
     }
     table.add_row(table2_row(cell.row));
   }
-  std::printf("%s", csv ? table.to_csv().c_str() : table.to_string().c_str());
-
-  // Publish the grid's solver work into the registry (summed over cells)
-  // and echo a per-cell summary — including each cell's own solver
-  // counters, which run_experiment_grid now surfaces — into the report.
-  sat::Solver::Stats grid_stats;
-  std::ostringstream os;
-  JsonWriter w(os, /*indent=*/0);
-  w.begin_object();
-  w.kv("cells", static_cast<std::uint64_t>(cells.size()));
-  w.key("rows");
-  w.begin_array();
-  for (const ExperimentCell& cell : cells) {
-    w.begin_object();
-    w.kv("circuit", cell.config.circuit);
-    w.kv("tests", static_cast<std::uint64_t>(cell.config.num_tests));
-    w.kv("errors", static_cast<std::uint64_t>(cell.config.num_errors));
-    w.kv("prepared", cell.prepared);
-    if (cell.prepared) {
-      grid_stats.merge(cell.row.bsat.solver_stats);
-      w.kv("bsim_seconds", cell.row.bsim_seconds);
-      w.kv("bsat_solutions",
-           static_cast<std::uint64_t>(cell.row.bsat.solutions.size()));
-      w.kv("bsat_all_seconds", cell.row.bsat.all_seconds);
-      w.kv("bsat_complete", cell.row.bsat.complete);
-      w.kv("bsat_conflicts", cell.row.bsat.solver_stats.conflicts);
-      w.kv("bsat_decisions", cell.row.bsat.solver_stats.decisions);
-      w.kv("bsat_propagations", cell.row.bsat.solver_stats.propagations);
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  g_result_json = os.str();
-  obs::add_solver_stats(grid_stats);
+  std::printf("%s", request.csv ? table.to_csv().c_str()
+                                : table.to_string().c_str());
+  g_result_json = app::experiment_result_json(cells);
   return 0;
 }
 
 int cmd_repair(const CliArgs& args) {
   if (args.positional().size() < 2) return fail("repair needs a .bench file");
-  Netlist nl = load_bench(args.positional()[1]);
-  if (!nl.dffs().empty()) nl = make_full_scan(nl).comb;
   const std::string tests_path = args.get_string("tests", "");
   if (tests_path.empty()) return fail("--tests required");
-  std::ifstream in(tests_path);
-  if (!in) return fail("cannot read '" + tests_path + "'");
-  const TestSet tests = read_test_set(in, nl);
+  const auto [nl, tests] = load_inputs(args.positional()[1], tests_path);
 
   std::vector<GateId> gates;
-  // Same dangling-view hazard as in cmd_experiment: keep the string alive
-  // past the range-for initializer.
+  // Bind before split(): the views point into this string, and a temporary
+  // would be destroyed before a C++20 range-for body runs.
   const std::string gates_arg = args.get_string("gates", "");
   for (std::string_view name : split(gates_arg, ',')) {
     name = trim(name);
@@ -508,12 +337,7 @@ int cmd_serve(const CliArgs& args) {
     return fail("--port must be in [0, 65535] (0 = ephemeral)");
   }
   options.port = static_cast<int>(port);
-  const std::int64_t threads = args.get_int("threads", 1);
-  if (threads < 1) {
-    return fail("--threads must be >= 1 (got " + std::to_string(threads) +
-                ")");
-  }
-  options.threads = static_cast<std::size_t>(threads);
+  options.threads = app::parse_threads(args);
   const std::int64_t inflight = args.get_int("max-inflight", 0);
   if (inflight < 0) {
     return fail("--max-inflight must be >= 0 (0 = derive from --threads)");
@@ -545,26 +369,8 @@ int cmd_serve(const CliArgs& args) {
   return 0;
 }
 
-// Flags each subcommand understands; anything else is a typo and must not
-// silently fall back to defaults (cmd_* query flags lazily, interleaved with
-// work, so this is checked up front rather than via unused() afterwards).
-const std::map<std::string, std::vector<std::string>> kKnownFlags = {
-    {"gen", {"profile", "scale", "seed", "out"}},
-    {"stats", {}},
-    {"inject", {"seed", "errors", "out", "tests-out", "num-tests"}},
-    {"diagnose",
-     {"tests", "approach", "k", "limit", "max-solutions", "stats", "threads"}},
-    {"experiment",
-     {"circuits", "errors", "tests", "scale", "seed", "limit", "max-solutions",
-      "threads", "csv"}},
-    {"repair", {"tests", "gates"}},
-    {"serve",
-     {"port", "threads", "max-inflight", "queue-depth",
-      "max-request-seconds"}},
-};
-
 /// Runs the subcommand under the trace's enclosing "cli.run" span (closed
-/// on return, before main() drains the rings). -1 = unknown command.
+/// on return, before main() drains the rings).
 int dispatch(const std::string& command, const CliArgs& args) {
   obs::Span run_span("cli.run");
   if (command == "gen") return cmd_gen(args);
@@ -573,22 +379,7 @@ int dispatch(const std::string& command, const CliArgs& args) {
   if (command == "diagnose") return cmd_diagnose(args);
   if (command == "experiment") return cmd_experiment(args);
   if (command == "repair") return cmd_repair(args);
-  if (command == "serve") return cmd_serve(args);
-  return -1;
-}
-
-int check_flags(const std::string& command, const CliArgs& args) {
-  const auto it = kKnownFlags.find(command);
-  if (it == kKnownFlags.end()) return 0;  // unknown command: usage() handles it
-  // Before any get_* call every parsed flag is still "unused", i.e. this
-  // yields the full set of flags the user passed.
-  for (const std::string& flag : args.unused()) {
-    if (std::find(it->second.begin(), it->second.end(), flag) ==
-        it->second.end()) {
-      return fail("unknown flag --" + flag + " for '" + command + "'");
-    }
-  }
-  return 0;
+  return cmd_serve(args);
 }
 
 }  // namespace
@@ -646,15 +437,17 @@ int main(int argc, char** argv) {
         "serve does not support --trace-out/--report-json/--stats-json; "
         "use the `metrics` request instead");
   }
-  if (const int rc = check_flags(command, args)) return rc;
-  int rc = -1;
+  if (!app::has_command(app::Surface::kCli, command)) return usage();
+  int rc = 0;
   Timer wall;
   try {
+    // Flags each subcommand does not take are typos and must not silently
+    // fall back to defaults; checked before the command does any work.
+    app::check_flags(app::Surface::kCli, command, args);
     rc = dispatch(command, args);
   } catch (const std::exception& e) {
     return fail(e.what());
   }
-  if (rc < 0) return usage();
 
   // Observability artifacts, emitted after the command finished: every
   // exec/ pool is scoped to its diagnosis call, so all worker threads have
@@ -675,20 +468,8 @@ int main(int argc, char** argv) {
     return fail("cannot write '" + trace_out + "'");
   }
   if (!report_json.empty()) {
-    obs::RunReport report;
-    report.command = command;
-    for (const auto& [flag, value] : args.raw_values()) {
-      report.config[flag] = value;
-    }
-    const auto& pos = args.positional();
-    std::string joined;
-    for (std::size_t i = 1; i < pos.size(); ++i) {
-      if (!joined.empty()) joined += ' ';
-      joined += pos[i];
-    }
-    report.config["positional"] = joined;
-    report.wall_seconds = wall.seconds();
-    report.result_json = g_result_json;
+    const obs::RunReport report =
+        app::make_report(command, args, wall.seconds(), g_result_json);
     if (report_json == "-") {
       report.write_json(std::cout);
     } else if (!report.write_json_file(report_json)) {
